@@ -5,7 +5,6 @@ maximum drawdown and annualized return."""
 from __future__ import annotations
 
 import datetime as dt
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,16 +115,6 @@ def max_drawdown(curve: WealthCurve) -> float:
     final = v[-1]
     worst = max((x - final) / x for x in v[:-1])
     return max(0.0, worst)
-
-
-def max_drawdown_peak_to_trough(curve: WealthCurve) -> float:
-    """Conventional running peak-to-trough drawdown, for comparison."""
-    worst = 0.0
-    peak = curve.values[0]
-    for x in curve.values:
-        peak = max(peak, x)
-        worst = max(worst, (peak - x) / peak)
-    return worst
 
 
 def annualized_return(

@@ -14,7 +14,7 @@ import datetime as dt
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from .backtest import WealthCurve, compare_strategies
 from .errors import (
     AlignmentError,
     ConfigurationError,
+    DimensionError,
     InsufficientDataError,
     ParseError,
     SentfolioError,
@@ -89,8 +90,13 @@ def load_config(path: str | Path, seed_override: int | None = None,
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
-    raw = yaml.safe_load(path.read_text()) or {}
-    if "assets" not in raw or not raw["assets"]:
+    try:
+        raw = yaml.safe_load(path.read_text()) or {}
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        where = f":{mark.line + 1}" if mark is not None else ""
+        raise ConfigurationError(f"{path}{where}: malformed YAML") from exc
+    if not isinstance(raw, dict) or not raw.get("assets"):
         raise ConfigurationError("config must list assets")
     base = path.parent
 
@@ -105,16 +111,30 @@ def load_config(path: str | Path, seed_override: int | None = None,
         val_frac=float(split_raw.get("val", 0.1)),
         test_frac=float(split_raw.get("test", 0.2)),
     )
-    lstm_raw = dict(raw.get("lstm", {}))
+    lstm_raw = raw.get("lstm") or {}
+    if not isinstance(lstm_raw, dict):
+        raise ConfigurationError("lstm must be a mapping of LSTM settings")
+    lstm_raw = dict(lstm_raw)
     if seed_override is not None:
         lstm_raw["seed"] = seed_override
-        raw = dict(raw)
-        raw.setdefault("lstm", {})
-        raw["lstm"] = dict(raw["lstm"], seed=seed_override)
-    lstm = LstmConfig(**lstm_raw)
+        raw = dict(raw, lstm=dict(lstm_raw))
+    unknown = sorted(set(lstm_raw) - {f.name for f in fields(LstmConfig)})
+    if unknown:
+        raise ConfigurationError(f"unknown lstm key(s): {', '.join(unknown)}")
+    assets = [str(a) for a in raw["assets"]]
+    derived = {"input_width": len(assets) * len(FEATURE_NAMES), "n_outputs": len(assets)}
+    for key, value in derived.items():
+        if lstm_raw.setdefault(key, value) != value:
+            raise ConfigurationError(
+                f"lstm.{key} is {lstm_raw[key]}, but {len(assets)} assets need {value}"
+            )
+    try:
+        lstm = LstmConfig(**lstm_raw)
+    except (TypeError, DimensionError) as exc:
+        raise ConfigurationError(f"lstm: {exc}") from exc
     mc = raw.get("monte_carlo", {})
     cfg = RunConfig(
-        assets=[str(a) for a in raw["assets"]],
+        assets=assets,
         data_dir=(base / raw.get("data_dir", ".")).resolve(),
         out_dir=Path(out_override).resolve() if out_override
         else (base / raw.get("out_dir", "out")).resolve(),
@@ -165,24 +185,27 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
     with open(path) as fh:
         fh.readline()  # stamp
         reader = csv.reader(fh)
-        header = next(reader)
-        cols = header[1:]
-        assets: list[str] = []
-        for c in cols:
-            a = c.split(":")[0]
-            if a not in assets:
-                assets.append(a)
+        header = next(reader, [])
+        assets = [c.split(":")[0] for c in header[1::len(FEATURE_NAMES)]]
+        expected = ["date"] + [f"{a}:{f}" for a in assets for f in FEATURE_NAMES]
+        if not assets or header != expected:
+            raise ParseError(f"{path}:2: header must be date then asset:feature "
+                             f"columns in the order {', '.join(FEATURE_NAMES)}")
+        if assets != cfg.assets:
+            raise ConfigurationError(f"{path} holds assets {assets}, config lists "
+                                     f"{cfg.assets}; run ingest again")
         dates = []
         rows = []
-        for row in reader:
-            dates.append(dt.date.fromisoformat(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    mat = np.asarray(rows, dtype=float)
-    features = {}
-    for ai, a in enumerate(assets):
-        block = mat[:, ai * len(FEATURE_NAMES) : (ai + 1) * len(FEATURE_NAMES)]
-        features[a] = {name: block[:, fi].copy() for fi, name in enumerate(FEATURE_NAMES)}
-    return AlignedPanel(dates=dates, assets=assets, features=features)
+        for lineno, row in enumerate(reader, start=3):
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: {len(row)} columns, expected {len(header)}")
+            try:
+                dates.append(dt.date.fromisoformat(row[0]))
+                rows.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
+    values = np.asarray(rows, dtype=float).reshape(len(dates), len(assets), len(FEATURE_NAMES))
+    return AlignedPanel(dates=dates, assets=assets, values=values)
 
 
 def build_panel(cfg: RunConfig) -> AlignedPanel:
@@ -476,8 +499,11 @@ def cmd_audit(cfg: RunConfig) -> int:
     sample = []
     with open(cfg.audit_file, newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = {"text", "label"} - set(reader.fieldnames or ())
+        if missing:
+            raise ParseError(f"{cfg.audit_file}: header lacks {', '.join(sorted(missing))}")
         for row in reader:
-            sample.append((row["text"], row["label"].strip()))
+            sample.append((row["text"] or "", (row["label"] or "").strip()))
     matrix, accuracy = sentiment.audit_labels(sample, lex)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "confusion.csv"

@@ -1,4 +1,4 @@
-"""Daily price ingestion, return computation, panel alignment and splitting."""
+"""Daily price ingestion, panel alignment and splitting."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 from .errors import (
     AlignmentError,
     ConfigurationError,
+    DimensionError,
     InsufficientDataError,
     ParseError,
     ValidationError,
@@ -20,6 +21,7 @@ from .errors import (
 
 # Per-asset feature column order used everywhere downstream.
 FEATURE_NAMES = ("adj_close", "likes", "retweets", "comments", "volume", "ratio")
+PRICE_INDEX = FEATURE_NAMES.index("adj_close")
 
 NEUTRAL_SENTIMENT = {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.0}
 
@@ -45,21 +47,11 @@ class PriceSeries:
             if not (p > 0) or not math.isfinite(p):
                 raise ValidationError(f"{self.asset_id}: non-positive adj_close on {d}")
         for d, v in zip(self.dates, self.volume):
-            if v < 0:
-                raise ValidationError(f"{self.asset_id}: negative volume on {d}")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValidationError(f"{self.asset_id}: non-finite or negative volume on {d}")
 
     def __len__(self) -> int:
         return len(self.dates)
-
-
-@dataclass
-class ReturnSeries:
-    """Gross (p_t / p_{t-1}) and simple returns derived from a PriceSeries."""
-
-    asset_id: str
-    dates: list[dt.date]
-    gross: list[float]
-    simple: list[float]
 
 
 @dataclass
@@ -83,13 +75,21 @@ class SplitSpec:
 class AlignedPanel:
     """Inner-joined daily panel: prices, volume and sentiment features per asset.
 
-    ``features[asset]`` maps each name in FEATURE_NAMES to a float array over
-    ``dates``.  With 5 assets the stacked feature width is 30.
+    ``values[t, a, f]`` is feature ``FEATURE_NAMES[f]`` of ``assets[a]`` on
+    ``dates[t]``.  With 5 assets the stacked feature width is 30.
     """
 
     dates: list[dt.date]
     assets: list[str]
-    features: dict[str, dict[str, np.ndarray]] = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        expected = (len(self.dates), len(self.assets), len(FEATURE_NAMES))
+        if self.values.shape != expected:
+            raise DimensionError(f"panel values shape {self.values.shape} != {expected}")
+        if len(set(self.assets)) != len(self.assets):
+            raise AlignmentError(f"duplicate assets in {self.assets}")
 
     @property
     def n_rows(self) -> int:
@@ -99,31 +99,30 @@ class AlignedPanel:
     def n_features(self) -> int:
         return len(self.assets) * len(FEATURE_NAMES)
 
+    @property
+    def features(self) -> dict[str, dict[str, np.ndarray]]:
+        """``features[asset][name]``: a writable view of one column of ``values``."""
+        return {
+            a: {name: self.values[:, ai, fi] for fi, name in enumerate(FEATURE_NAMES)}
+            for ai, a in enumerate(self.assets)
+        }
+
     def feature_matrix(self) -> np.ndarray:
-        """Rows = dates, columns = per-asset blocks in FEATURE_NAMES order."""
-        cols = []
-        for asset in self.assets:
-            for name in FEATURE_NAMES:
-                cols.append(np.asarray(self.features[asset][name], dtype=float))
-        return np.column_stack(cols)
+        """Rows = dates, columns = per-asset blocks in FEATURE_NAMES order (a view)."""
+        return self.values.reshape(self.n_rows, self.n_features)
 
     def price_matrix(self) -> np.ndarray:
-        """(n_rows, n_assets) adjusted closes."""
-        return np.column_stack(
-            [np.asarray(self.features[a]["adj_close"], dtype=float) for a in self.assets]
-        )
+        """(n_rows, n_assets) adjusted closes (a view)."""
+        return self.values[:, :, PRICE_INDEX]
 
     def price_column_indices(self) -> list[int]:
         """Column positions of adj_close inside feature_matrix()."""
         step = len(FEATURE_NAMES)
-        return [i * step for i in range(len(self.assets))]
+        return [i * step + PRICE_INDEX for i in range(len(self.assets))]
 
     def slice(self, start: int, stop: int) -> "AlignedPanel":
-        feats = {
-            a: {name: np.asarray(arr)[start:stop].copy() for name, arr in cols.items()}
-            for a, cols in self.features.items()
-        }
-        return AlignedPanel(dates=self.dates[start:stop], assets=list(self.assets), features=feats)
+        """Rows [start, stop), sharing ``values`` with this panel."""
+        return AlignedPanel(self.dates[start:stop], list(self.assets), self.values[start:stop])
 
 
 def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
@@ -151,8 +150,8 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
                 raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
             if not price > 0:
                 raise ValidationError(f"{path}:{lineno}: non-positive adj_close {price}")
-            if volume < 0:
-                raise ValidationError(f"{path}:{lineno}: negative volume {volume}")
+            if not (math.isfinite(volume) and volume >= 0):
+                raise ValidationError(f"{path}:{lineno}: non-finite or negative volume {volume}")
             rows.append((date, price, volume))
     rows.sort(key=lambda r: r[0])
     for i in range(1, len(rows)):
@@ -163,32 +162,6 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
         dates=[r[0] for r in rows],
         adj_close=[r[1] for r in rows],
         volume=[r[2] for r in rows],
-    )
-
-
-def write_prices(series: PriceSeries, path: str | Path) -> None:
-    """Inverse of load_prices; used for round-trip checks and fixtures."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "adj_close", "volume"])
-        for d, p, v in zip(series.dates, series.adj_close, series.volume):
-            writer.writerow([d.isoformat(), repr(p), repr(v)])
-
-
-def compute_returns(prices: PriceSeries) -> ReturnSeries:
-    """Gross returns p_t/p_{t-1}; one fewer row than the price series."""
-    if len(prices) < 2:
-        raise InsufficientDataError(
-            f"{prices.asset_id}: need at least 2 rows to compute returns"
-        )
-    gross = [
-        prices.adj_close[i + 1] / prices.adj_close[i] for i in range(len(prices) - 1)
-    ]
-    return ReturnSeries(
-        asset_id=prices.asset_id,
-        dates=prices.dates[1:],
-        gross=gross,
-        simple=[g - 1.0 for g in gross],
     )
 
 
@@ -215,20 +188,20 @@ def align_panel(
     dates = sorted(common)
     daily_sentiment = daily_sentiment or {}
 
-    features: dict[str, dict[str, np.ndarray]] = {}
-    for p in prices:
+    panel = AlignedPanel(
+        dates=dates,
+        assets=[p.asset_id for p in prices],
+        values=np.empty((len(dates), len(prices), len(FEATURE_NAMES))),
+    )
+    for p, cols in zip(prices, panel.features.values()):
         index = {d: i for i, d in enumerate(p.dates)}
         rows = [index[d] for d in dates]
+        cols["adj_close"][:] = [p.adj_close[i] for i in rows]
+        cols["volume"][:] = [p.volume[i] for i in rows]
         sent = daily_sentiment.get(p.asset_id, {})
-        cols: dict[str, list[float]] = {name: [] for name in FEATURE_NAMES}
-        for d, i in zip(dates, rows):
-            cols["adj_close"].append(p.adj_close[i])
-            cols["volume"].append(p.volume[i])
-            day = sent.get(d, {})
-            for name, default in NEUTRAL_SENTIMENT.items():
-                cols[name].append(float(day.get(name, default)))
-        features[p.asset_id] = {k: np.asarray(v, dtype=float) for k, v in cols.items()}
-    return AlignedPanel(dates=dates, assets=[p.asset_id for p in prices], features=features)
+        for name, default in NEUTRAL_SENTIMENT.items():
+            cols[name][:] = [float(sent.get(d, {}).get(name, default)) for d in dates]
+    return panel
 
 
 def split_chronological(

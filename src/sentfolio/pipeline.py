@@ -16,7 +16,9 @@ from .backtest import (
 )
 from .errors import ConfigurationError, InsufficientDataError
 from .forecast_lstm import LstmConfig, LstmModel, TrainReport, make_windows, predict_series, train
-from .market_data import NEUTRAL_SENTIMENT, AlignedPanel, SplitSpec, split_chronological
+from .market_data import (
+    FEATURE_NAMES, NEUTRAL_SENTIMENT, AlignedPanel, SplitSpec, split_chronological,
+)
 from .portfolio_opt import (
     DEFAULT_COV_WINDOW,
     DEFAULT_SAMPLE_COUNT,
@@ -53,14 +55,10 @@ class PipelineResult:
 def neutralize_sentiment(panel: AlignedPanel) -> AlignedPanel:
     """Copy of the panel with sentiment features forced to neutral defaults;
     this is the input of the non-sentiment LSTM variant."""
-    feats = {}
-    n = panel.n_rows
-    for asset, cols in panel.features.items():
-        new_cols = {k: np.asarray(v).copy() for k, v in cols.items()}
-        for name, default in NEUTRAL_SENTIMENT.items():
-            new_cols[name] = np.full(n, default)
-        feats[asset] = new_cols
-    return AlignedPanel(dates=list(panel.dates), assets=list(panel.assets), features=feats)
+    values = panel.values.copy()
+    for name, default in NEUTRAL_SENTIMENT.items():
+        values[:, :, FEATURE_NAMES.index(name)] = default
+    return AlignedPanel(dates=list(panel.dates), assets=list(panel.assets), values=values)
 
 
 def train_forecaster(

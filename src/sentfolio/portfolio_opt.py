@@ -132,30 +132,13 @@ def mean_variance_select(
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
     risk_free: float = 0.0,
-    workers: int = 1,
 ) -> FrontierSample:
-    """Sharpe-maximal portfolio among `count` simplex samples.
-
-    Ties break to the lowest sample index, and the argmax reduction is
-    index-ordered, so the result is identical for any `workers` value.
-    """
+    """Sharpe-maximal portfolio among `count` simplex samples; ties break to
+    the lowest sample index."""
     W, exp_ret, vol, sharpe = frontier_samples(m, count, seed, risk_free)
     if (vol < VOL_FLOOR).all():
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
-    if workers <= 1:
-        best = int(np.argmax(sharpe))
-    else:
-        # chunked argmax with index-ordered reduction; same answer as above
-        bounds = np.linspace(0, count, workers + 1, dtype=int)
-        best = 0
-        best_val = -np.inf
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi <= lo:
-                continue
-            local = int(np.argmax(sharpe[lo:hi])) + int(lo)
-            if sharpe[local] > best_val:
-                best_val = sharpe[local]
-                best = local
+    best = int(np.argmax(sharpe))
     return FrontierSample(
         weights=Weights.from_array(W[best]),
         exp_return=float(exp_ret[best]),
@@ -165,29 +148,6 @@ def mean_variance_select(
 
 
 # -- allocation strategies --------------------------------------------------
-
-STRATEGY_NAMES = ("BAH", "Rebalancing", "BestStock", "MeanVariancePredictive")
-
-
-def strategy_weights(kind: str, **kwargs) -> list[Weights]:
-    """Dispatch to the per-strategy weight-stream builders by name."""
-    if kind == "BAH":
-        return bah_weights(kwargs["gross_returns"])
-    if kind == "Rebalancing":
-        return rebalancing_weights(kwargs["n_assets"], kwargs["n_periods"])
-    if kind == "BestStock":
-        return best_stock_weights(kwargs["gross_returns"])
-    if kind == "MeanVariancePredictive":
-        return predictive_weights(
-            kwargs["predicted_prices"],
-            kwargs["last_closes"],
-            kwargs["trailing_returns"],
-            count=kwargs.get("count", DEFAULT_SAMPLE_COUNT),
-            seed=kwargs.get("seed", 0),
-            risk_free=kwargs.get("risk_free", 0.0),
-        )
-    raise ValidationError(f"unknown strategy kind {kind!r}")
-
 
 def bah_weights(gross_returns: np.ndarray) -> list[Weights]:
     """Equal weights at t=0, then drifting with prices (never traded)."""

@@ -219,22 +219,6 @@ def weekly_windows(
     return out
 
 
-def daily_ratio_series(
-    records: list[SentimentRecord], dates: list[dt.date]
-) -> list[float]:
-    """Per-date smoothed pos/neg ratio; dates with no records map to 1.0."""
-    by_date: dict[dt.date, list[SentimentRecord]] = {}
-    for r in records:
-        by_date.setdefault(r.date, []).append(r)
-    out = []
-    for d in dates:
-        day = by_date.get(d, [])
-        n_pos = sum(1 for r in day if r.label == POSITIVE)
-        n_neg = sum(1 for r in day if r.label == NEGATIVE)
-        out.append(sentiment_ratio(n_pos, n_neg))
-    return out
-
-
 def daily_features(
     records: list[SentimentRecord], dates: list[dt.date]
 ) -> dict[dt.date, dict[str, float]]:

@@ -10,7 +10,6 @@ from sentfolio.backtest import (
     compare_strategies,
     fapv,
     max_drawdown,
-    max_drawdown_peak_to_trough,
     performance_report,
     run_backtest,
     sharpe_vs_bh,
@@ -151,11 +150,6 @@ class TestMaxDrawdown:
         a = max_drawdown(curve_from_values(vals))
         b = max_drawdown(curve_from_values([7 * v for v in vals]))
         assert a == pytest.approx(b, rel=1e-12)
-
-    def test_peak_to_trough_variant(self):
-        c = curve_from_values([100, 80, 130])
-        assert max_drawdown_peak_to_trough(c) == pytest.approx(0.2)
-        assert max_drawdown_peak_to_trough(c) >= max_drawdown(c)
 
     def test_too_short(self):
         with pytest.raises(InsufficientDataError):

@@ -32,14 +32,22 @@ max_lag: 2
 """
 
 
+THREE_ASSETS = CONFIG_TEMPLATE.replace("AAA, BBB, CCC, DDD, EEE", "AAA, BBB, CCC")
+
+
+def populate(root, config=CONFIG_TEMPLATE):
+    """Market CSVs, lexicon, audit sample and ``config`` under ``root``."""
+    write_market_csv(root / "data", seed=3, n_days=100)
+    (root / "config.yaml").write_text(config)
+    (root / "lexicon.tsv").write_text(LEXICON)
+    (root / "audit.csv").write_text(AUDIT)
+    return root
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """A populated data directory with a config, run through ingest once."""
-    root = tmp_path_factory.mktemp("cli")
-    write_market_csv(root / "data", seed=3, n_days=100)
-    (root / "config.yaml").write_text(CONFIG_TEMPLATE)
-    (root / "lexicon.tsv").write_text(LEXICON)
-    (root / "audit.csv").write_text(AUDIT)
+    root = populate(tmp_path_factory.mktemp("cli"))
     assert main(["ingest", "--config", str(root / "config.yaml")]) == 0
     return root
 
@@ -214,3 +222,73 @@ class TestSeedOverride:
         assert code == 0
         first = (out / "panel.csv").read_text().splitlines()[0]
         assert "seed=9" in first
+
+
+def _edit(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+
+
+def _ingested(root):
+    assert run(root, "ingest") == 0
+    return root / "out" / "panel.csv"
+
+
+def _cut_last_field(path, lineno, replacement=""):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[lineno - 1] = lines[lineno - 1].rsplit(",", 1)[0] + replacement + "\n"
+    path.write_text("".join(lines))
+
+
+def _truncate_panel_row(root):
+    _cut_last_field(_ingested(root), 5)
+
+
+def _swap_panel_columns(root):
+    _edit(_ingested(root), "AAA:likes,AAA:retweets", "AAA:retweets,AAA:likes")
+
+
+BAD_INPUTS = {
+    "lstm width disagrees with assets": (
+        "ingest", lambda root: _edit(root / "config.yaml", "  hidden_size: 4",
+                                     "  hidden_size: 4\n  input_width: 30"),
+        "lstm.input_width is 30"),
+    "unknown lstm key": (
+        "ingest", lambda root: _edit(root / "config.yaml", "hidden_size:", "hidden:"),
+        "hidden"),
+    "malformed yaml": (
+        "ingest", lambda root: _edit(root / "config.yaml", "out_dir: out", "out_dir: [out"),
+        "config.yaml:"),
+    "nan volume": (
+        "ingest", lambda root: _cut_last_field(root / "data" / "BBB.csv", 4, ",nan"),
+        "BBB.csv:4:"),
+    "truncated panel row": ("train", _truncate_panel_row, "panel.csv:5:"),
+    "panel columns out of order": ("train", _swap_panel_columns, "panel.csv:2:"),
+    "audit file without text": (
+        "audit", lambda root: (root / "audit.csv").write_text("label\nPositive\n"), "text"),
+    "audit file without label": (
+        "audit", lambda root: (root / "audit.csv").write_text("text\ngood\n"), "label"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    command, corrupt, expected = BAD_INPUTS[case]
+    root = populate(tmp_path, THREE_ASSETS)
+    corrupt(root)
+    capsys.readouterr()
+    assert run(root, command) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert expected in lines[0]
+
+
+def test_three_asset_chain(tmp_path):
+    root = populate(tmp_path, THREE_ASSETS)
+    for command in ("ingest", "train", "backtest", "report"):
+        assert run(root, command) == 0, command
+    checkpoint = json.loads(artifact(root, "lstm.json").read_text())
+    assert (checkpoint["config"]["input_width"], checkpoint["config"]["n_outputs"]) == (18, 3)
+    lines = artifact(root, "report.csv").read_text().splitlines()
+    assert len(lines) == 2 + 5  # stamp + header + one row per strategy

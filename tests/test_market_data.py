@@ -6,18 +6,18 @@ import pytest
 from sentfolio.errors import (
     AlignmentError,
     ConfigurationError,
-    InsufficientDataError,
+    DimensionError,
     ParseError,
     ValidationError,
 )
 from sentfolio.market_data import (
+    FEATURE_NAMES,
     AlignedPanel,
+    PriceSeries,
     SplitSpec,
     align_panel,
-    compute_returns,
     load_prices,
     split_chronological,
-    write_prices,
 )
 
 from conftest import make_prices
@@ -66,40 +66,16 @@ class TestLoadPrices:
         with pytest.raises(ParseError):
             load_prices(f)
 
-    def test_round_trip(self, tmp_path):
-        original = make_prices("RT", [10.0, 10.5, 9.75])
-        out = tmp_path / "RT.csv"
-        write_prices(original, out)
-        again = load_prices(out)
-        assert again.dates == original.dates
-        assert again.adj_close == original.adj_close
-        assert again.volume == original.volume
+    @pytest.mark.parametrize("volume", ["nan", "inf", "-1"])
+    def test_bad_volume_names_line(self, tmp_path, volume):
+        f = tmp_path / "XYZ.csv"
+        write_csv(f, ["2001-01-02,10.0,100", f"2001-01-03,10.5,{volume}"])
+        with pytest.raises(ValidationError, match=":3"):
+            load_prices(f)
 
-
-class TestComputeReturns:
-    def test_single_step(self):
-        r = compute_returns(make_prices("A", [100.0, 110.0]))
-        assert r.gross == [1.1]
-        assert r.simple == [pytest.approx(0.1)]
-
-    def test_flat_series(self):
-        r = compute_returns(make_prices("A", [100.0, 100.0, 100.0]))
-        assert r.gross == [1.0, 1.0]
-
-    def test_halving_doubling(self):
-        r = compute_returns(make_prices("A", [100.0, 50.0, 100.0]))
-        assert r.gross == [0.5, 2.0]
-
-    def test_too_short(self):
-        with pytest.raises(InsufficientDataError):
-            compute_returns(make_prices("A", [100.0]))
-
-    def test_price_reconstruction(self):
-        closes = [100.0, 103.5, 99.1, 120.0, 119.9]
-        series = make_prices("A", closes)
-        r = compute_returns(series)
-        rebuilt = closes[0] * np.cumprod(r.gross)
-        np.testing.assert_allclose(rebuilt, closes[1:], rtol=1e-9)
+    def test_price_series_rejects_nan_volume(self):
+        with pytest.raises(ValidationError):
+            PriceSeries("A", [dt.date(2020, 1, 1)], [1.0], [float("nan")])
 
 
 class TestAlignPanel:
@@ -132,6 +108,32 @@ class TestAlignPanel:
         assert panel.features["A"]["likes"][0] == 5.0
         assert panel.features["A"]["ratio"][0] == 2.5
         assert panel.features["A"]["ratio"][1] == 1.0
+
+    def test_feature_matrix_is_asset_major(self):
+        a = make_prices("A", [1.0, 2.0], volumes=[10.0, 20.0])
+        b = make_prices("B", [3.0, 4.0], volumes=[30.0, 40.0])
+        daily = {"B": {dt.date(2020, 1, 2): {"likes": 7.0}}}
+        panel = align_panel([a, b], daily)
+        mat = panel.feature_matrix()
+        for ai, asset in enumerate(panel.assets):
+            for fi, name in enumerate(FEATURE_NAMES):
+                np.testing.assert_array_equal(
+                    mat[:, ai * len(FEATURE_NAMES) + fi], panel.features[asset][name]
+                )
+        assert mat[1].tolist() == [2.0, 0.0, 0.0, 0.0, 20.0, 1.0,
+                                   4.0, 7.0, 0.0, 0.0, 40.0, 1.0]
+        assert [mat[0, i] for i in panel.price_column_indices()] == [1.0, 3.0]
+
+    def test_feature_views_write_through(self, five_asset_panel):
+        five_asset_panel.features["A2"]["adj_close"][3:5] = 99.0
+        prices = five_asset_panel.price_matrix()
+        assert prices[3:5, 2].tolist() == [99.0, 99.0]
+        assert (prices[:3, 2] != 99.0).all()
+
+    def test_duplicate_assets_rejected(self):
+        a = make_prices("A", [1.0, 2.0])
+        with pytest.raises(AlignmentError):
+            align_panel([a, a])
 
     def test_empty_intersection(self):
         a = make_prices("A", [1.0, 2.0])
@@ -173,3 +175,14 @@ class TestSplit:
     def test_bad_fraction_sum(self):
         with pytest.raises(ConfigurationError):
             SplitSpec(0.7, 0.1, 0.3)
+
+
+class TestPanelShape:
+    def test_values_shape_checked(self):
+        dates = [dt.date(2020, 1, 1), dt.date(2020, 1, 2)]
+        AlignedPanel(dates, ["A"], np.zeros((2, 1, len(FEATURE_NAMES))))
+        for shape in [(2, 1, len(FEATURE_NAMES) - 1), (3, 1, len(FEATURE_NAMES)),
+                      (2, 2, len(FEATURE_NAMES)), (2, len(FEATURE_NAMES))]:
+            with pytest.raises(DimensionError):
+                AlignedPanel(dates, ["A"], np.zeros(shape))
+

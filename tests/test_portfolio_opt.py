@@ -22,7 +22,6 @@ from sentfolio.portfolio_opt import (
     predictive_weights,
     rebalancing_weights,
     sample_simplex,
-    strategy_weights,
 )
 
 
@@ -144,14 +143,6 @@ class TestMeanVarianceSelect:
         best = mean_variance_select(m, count=5000, seed=4)
         np.testing.assert_array_equal(best.weights.as_array(), W[np.argmax(sharpe)])
 
-    def test_worker_invariance(self):
-        m = self.dominant_market()
-        base = mean_variance_select(m, count=20_000, seed=2, workers=1)
-        for workers in (2, 3, 8):
-            multi = mean_variance_select(m, count=20_000, seed=2, workers=workers)
-            assert multi.weights == base.weights
-            assert multi.sharpe == base.sharpe
-
     def test_count_doubling_never_worse(self):
         m = self.dominant_market()
         prev = -np.inf
@@ -269,16 +260,3 @@ class TestPredictiveWeights:
         ws = predictive_weights(pred, last, trailing, count=20_000, seed=0)
         assert ws[0].values[0] > 0.5
 
-
-class TestStrategyDispatch:
-    def test_known_kinds(self):
-        gross = np.ones((3, 2))
-        assert strategy_weights("BAH", gross_returns=gross) == bah_weights(gross)
-        assert strategy_weights("Rebalancing", n_assets=2, n_periods=3) == \
-            rebalancing_weights(2, 3)
-        assert strategy_weights("BestStock", gross_returns=gross) == \
-            best_stock_weights(gross)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValidationError):
-            strategy_weights("Momentum")

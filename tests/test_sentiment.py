@@ -11,7 +11,7 @@ from sentfolio.sentiment import (
     SentimentRecord,
     aggregate_weekly,
     audit_labels,
-    daily_ratio_series,
+    daily_features,
     label_text,
     sentiment_ratio,
 )
@@ -115,14 +115,18 @@ class TestAggregateWeekly:
 class TestDailyRatio:
     def test_two_pos_one_neg(self):
         records = [rec(0, "Positive", 0.5), rec(0, "Positive", 0.2), rec(0, "Negative", -0.1)]
-        assert daily_ratio_series(records, [D0]) == [1.5]
+        assert daily_features(records, [D0])[D0]["ratio"] == 1.5
 
     def test_no_records_default(self):
-        assert daily_ratio_series([], [D0]) == [1.0]
+        assert daily_features([], [D0]) == {
+            D0: {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.0}
+        }
 
     def test_all_negative_day(self):
-        records = [rec(0, "Negative", -0.5) for _ in range(4)]
-        assert daily_ratio_series(records, [D0]) == [0.2]
+        records = [rec(0, "Negative", -0.5, likes=3) for _ in range(4)]
+        day = daily_features(records, [D0])[D0]
+        assert day["ratio"] == 0.2
+        assert day["likes"] == 12.0
 
 
 class TestAuditLabels:
