@@ -13,6 +13,7 @@ import csv
 import datetime as dt
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -21,14 +22,16 @@ import numpy as np
 import yaml
 
 from . import pipeline, sentiment, svg
-from .backtest import WealthCurve, compare_strategies
+from .backtest import DEFAULT_INITIAL_CAPITAL, WealthCurve, compare_strategies
 from .errors import (
     AlignmentError,
     ConfigurationError,
+    DegenerateInputError,
     DimensionError,
     InsufficientDataError,
     ParseError,
     SentfolioError,
+    SingularDesignError,
     ValidationError,
 )
 from .forecast_lstm import LstmConfig, save_checkpoint
@@ -40,7 +43,13 @@ from .market_data import (
     load_prices,
     split_chronological,
 )
-from .portfolio_opt import estimate_moments, frontier_samples, mean_variance_select
+from .portfolio_opt import (
+    DEFAULT_COV_WINDOW,
+    DEFAULT_SAMPLE_COUNT,
+    estimate_moments,
+    frontier_samples,
+    mean_variance_select,
+)
 from .stats import granger, pearson
 
 USER_ERRORS = (
@@ -65,13 +74,24 @@ class RunConfig:
     audit_file: Path | None = None
     split: SplitSpec = field(default_factory=SplitSpec)
     lstm: LstmConfig = field(default_factory=LstmConfig)
-    mc_count: int = 50_000
+    mc_count: int = DEFAULT_SAMPLE_COUNT
     mc_seed: int = 0
-    cov_window: int = 50
-    initial_capital: float = 10_000.0
+    cov_window: int = DEFAULT_COV_WINDOW
+    initial_capital: float = DEFAULT_INITIAL_CAPITAL
     max_lag: int = 8
     replicate_seeds: list[int] = field(default_factory=list)
     raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name, value, low in (("monte_carlo.count", self.mc_count, 1),
+                                 ("monte_carlo.seed", self.mc_seed, 0),
+                                 ("cov_window", self.cov_window, 2),
+                                 ("max_lag", self.max_lag, 1),
+                                 ("replicate_seeds", min(self.replicate_seeds, default=0), 0)):
+            if value < low:
+                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
+        if not self.initial_capital > 0:
+            raise ConfigurationError(f"initial_capital must be positive, got {self.initial_capital}")
 
     @property
     def seed(self) -> int:
@@ -85,8 +105,28 @@ class RunConfig:
         return f"# config={self.hash()} seed={self.seed}"
 
 
+def _number(value, name: str, kind: type):
+    """``value`` unchanged if it is a finite YAML number of ``kind``; an int
+    also passes as a float, a bool passes as neither."""
+    ok = isinstance(value, int if kind is int else (int, float))
+    if isinstance(value, bool) or not ok or not math.isfinite(value):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = {} if raw.get(key) is None else raw[key]
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a mapping, got {value!r}")
+    return dict(value)
+
+
 def load_config(path: str | Path, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
+    """Parse a YAML run configuration. Absent keys take the dataclass
+    defaults; a key of the wrong type or out of range is a
+    ConfigurationError that names it."""
     path = Path(path)
     if not path.exists():
         raise ConfigurationError(f"config file not found: {path}")
@@ -98,30 +138,32 @@ def load_config(path: str | Path, seed_override: int | None = None,
         raise ConfigurationError(f"{path}{where}: malformed YAML") from exc
     if not isinstance(raw, dict) or not raw.get("assets"):
         raise ConfigurationError("config must list assets")
+    assets = raw["assets"]
+    if not isinstance(assets, list) or not all(isinstance(a, str) for a in assets):
+        raise ConfigurationError(f"assets must be a list of names, got {assets!r}")
     base = path.parent
 
-    def respath(key):
-        if raw.get(key) is None:
+    def respath(key, default=None):
+        value = default if raw.get(key) is None else raw[key]
+        if value is None:
             return None
-        return (base / raw[key]).resolve()
+        if not isinstance(value, str):
+            raise ConfigurationError(f"{key} must be a path, got {value!r}")
+        return (base / value).resolve()
 
-    split_raw = raw.get("split", {})
-    split = SplitSpec(
-        train_frac=float(split_raw.get("train", 0.7)),
-        val_frac=float(split_raw.get("val", 0.1)),
-        test_frac=float(split_raw.get("test", 0.2)),
-    )
-    lstm_raw = raw.get("lstm") or {}
-    if not isinstance(lstm_raw, dict):
-        raise ConfigurationError("lstm must be a mapping of LSTM settings")
-    lstm_raw = dict(lstm_raw)
+    split_raw = _section(raw, "split")
+    split = SplitSpec(**{f"{k}_frac": _number(split_raw[k], f"split.{k}", float)
+                         for k in ("train", "val", "test") if k in split_raw})
+    lstm_raw = _section(raw, "lstm")
     if seed_override is not None:
         lstm_raw["seed"] = seed_override
         raw = dict(raw, lstm=dict(lstm_raw))
-    unknown = sorted(set(lstm_raw) - {f.name for f in fields(LstmConfig)})
+    kinds = {f.name: type(f.default) for f in fields(LstmConfig)}
+    unknown = sorted(set(lstm_raw) - set(kinds))
     if unknown:
         raise ConfigurationError(f"unknown lstm key(s): {', '.join(unknown)}")
-    assets = [str(a) for a in raw["assets"]]
+    for key, value in lstm_raw.items():
+        _number(value, f"lstm.{key}", kinds[key])
     derived = {"input_width": len(assets) * len(FEATURE_NAMES), "n_outputs": len(assets)}
     for key, value in derived.items():
         if lstm_raw.setdefault(key, value) != value:
@@ -130,26 +172,33 @@ def load_config(path: str | Path, seed_override: int | None = None,
             )
     try:
         lstm = LstmConfig(**lstm_raw)
-    except (TypeError, DimensionError) as exc:
+    except DimensionError as exc:
         raise ConfigurationError(f"lstm: {exc}") from exc
-    mc = raw.get("monte_carlo", {})
+    mc = _section(raw, "monte_carlo")
+    settings = {}
+    for section, key, name, kind in ((mc, "count", "mc_count", int),
+                                     (mc, "seed", "mc_seed", int),
+                                     (raw, "cov_window", "cov_window", int),
+                                     (raw, "initial_capital", "initial_capital", float),
+                                     (raw, "max_lag", "max_lag", int)):
+        if key in section:
+            label = f"monte_carlo.{key}" if section is mc else key
+            settings[name] = _number(section[key], label, kind)
+    seeds = [] if raw.get("replicate_seeds") is None else raw["replicate_seeds"]
+    if not isinstance(seeds, list):
+        raise ConfigurationError(f"replicate_seeds must be a list, got {seeds!r}")
     cfg = RunConfig(
         assets=assets,
-        data_dir=(base / raw.get("data_dir", ".")).resolve(),
-        out_dir=Path(out_override).resolve() if out_override
-        else (base / raw.get("out_dir", "out")).resolve(),
+        data_dir=respath("data_dir", "."),
+        out_dir=Path(out_override).resolve() if out_override else respath("out_dir", "out"),
         sentiment_file=respath("sentiment_file"),
         lexicon_file=respath("lexicon_file"),
         audit_file=respath("audit_file"),
         split=split,
         lstm=lstm,
-        mc_count=int(mc.get("count", 50_000)),
-        mc_seed=int(mc.get("seed", 0)),
-        cov_window=int(raw.get("cov_window", 50)),
-        initial_capital=float(raw.get("initial_capital", 10_000.0)),
-        max_lag=int(raw.get("max_lag", 8)),
-        replicate_seeds=[int(s) for s in raw.get("replicate_seeds", [])],
+        replicate_seeds=[_number(s, "replicate_seeds", int) for s in seeds],
         raw=raw,
+        **settings,
     )
     if not cfg.data_dir.exists():
         raise ConfigurationError(f"data_dir does not exist: {cfg.data_dir}")
@@ -263,18 +312,19 @@ def cmd_label(cfg: RunConfig) -> int:
     return 0
 
 
-def _weekly_stats_and_returns(cfg: RunConfig, panel: AlignedPanel, asset: str,
-                              records) -> tuple[list, list]:
+def _weekly_stats_and_returns(panel: AlignedPanel, asset: str, records) -> tuple[list, list]:
     """Per-week sentiment aggregates paired with the week's total return."""
+    first = panel.dates[0]
     weeks = sentiment.weekly_windows(
-        [r for r in records if r.asset_id == asset], panel.dates[0], panel.dates[-1]
+        [r for r in records if r.asset_id == asset], first, panel.dates[-1]
     )
+    rows: list[list[int]] = [[] for _ in weeks]
+    for i, d in enumerate(panel.dates):
+        rows[(d - first).days // 7].append(i)
     prices = np.asarray(panel.features[asset]["adj_close"])
     weekly_returns = []
     kept = []
-    for w in weeks:
-        w_end = w.window_start + dt.timedelta(days=6)
-        idx = [i for i, d in enumerate(panel.dates) if w.window_start <= d <= w_end]
+    for w, idx in zip(weeks, rows):
         if len(idx) < 2:
             continue
         weekly_returns.append(float(prices[idx[-1]] / prices[idx[0]] - 1.0))
@@ -291,7 +341,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     corr_rows = []
     for asset in panel.assets:
-        weeks, weekly_returns = _weekly_stats_and_returns(cfg, panel, asset, records)
+        weeks, weekly_returns = _weekly_stats_and_returns(panel, asset, records)
         row = [asset]
         for attr in ("mean_pol", "max_pol", "median_pol", "ratio"):
             series = [getattr(w, attr) for w in weeks]
@@ -308,7 +358,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
         prices = np.asarray(panel.features[asset]["adj_close"])
         returns = prices[1:] / prices[:-1] - 1.0
         ratio = np.asarray(panel.features[asset]["ratio"])[1:]
-        report = granger(returns, ratio, cfg.max_lag)
+        try:
+            report = granger(returns, ratio, cfg.max_lag)
+        except (SingularDesignError, DegenerateInputError):
+            # e.g. a constant ratio: no test for this asset, as in correlation.csv
+            granger_rows += [[asset, n, "nan", n, returns.size - 3 * n - 1, "nan", 0]
+                             for n in range(1, cfg.max_lag + 1)]
+            continue
         for entry in report.lags:
             granger_rows.append([
                 asset, entry.lag, f"{entry.result.statistic:.6f}",

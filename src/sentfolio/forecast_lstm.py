@@ -3,11 +3,18 @@
 Forward, backward (BPTT) and Adam are implemented directly on numpy arrays so
 gradients can be verified against central finite differences.  Gate layout in
 each fused weight matrix is [input, forget, cell, output].
+
+All weights live in one float64 vector ``LstmModel.theta``, in the order
+W[0], U[0], b[0], ..., W[L-1], U[L-1], b[L-1], W_out, b_out (row-major); the
+named weights, the gradient and the Adam moments share that layout.  The
+forward pass keeps per layer the activated gates (T, B, 4H) and the cell and
+hidden states c, h (T+1, B, H), whose index 0 is the zero initial state.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,6 +50,8 @@ class LstmConfig:
                 raise DimensionError(f"{name} must be >= 1")
         if not self.learning_rate > 0:
             raise DimensionError("learning_rate must be positive")
+        if self.seed < 0:
+            raise DimensionError("seed must be >= 0")
 
 
 @dataclass
@@ -93,52 +102,57 @@ class MinMaxScaler:
         return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
+def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
+    """Overflow-free logistic function of ``x``, written into ``out``."""
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 class LstmModel:
     """Joint multi-asset forecaster; one network maps the stacked feature
-    window to all asset prices at once."""
+    window to all asset prices at once.
+
+    ``theta`` is updated in place only: ``W``, ``U``, ``b``, ``W_out`` and
+    ``b_out`` are views of it."""
 
     def __init__(self, config: LstmConfig):
         self.config = config
         self.scaler = MinMaxScaler()
         self.target_scaler: MinMaxScaler | None = None
         self.target_columns: list[int] = []
-        rng = np.random.default_rng(config.seed)
         H = config.hidden_size
-        bound = 1.0 / np.sqrt(H)
-        self.W: list[np.ndarray] = []
-        self.U: list[np.ndarray] = []
-        self.b: list[np.ndarray] = []
+        self._shapes: list[tuple[int, ...]] = []
         in_dim = config.input_width
         for _ in range(config.num_layers):
-            self.W.append(rng.uniform(-bound, bound, size=(in_dim, 4 * H)))
-            self.U.append(rng.uniform(-bound, bound, size=(H, 4 * H)))
-            bias = np.zeros(4 * H)
-            bias[H : 2 * H] = 1.0  # forget-gate bias
-            self.b.append(bias)
+            self._shapes += [(in_dim, 4 * H), (H, 4 * H), (4 * H,)]
             in_dim = H
-        self.W_out = rng.uniform(-bound, bound, size=(H, config.n_outputs))
-        self.b_out = np.zeros(config.n_outputs)
-        self._adam_m = [np.zeros_like(p) for p in self.parameters()]
-        self._adam_v = [np.zeros_like(p) for p in self.parameters()]
+        self._shapes += [(H, config.n_outputs), (config.n_outputs,)]
+        self.theta = np.zeros(sum(math.prod(s) for s in self._shapes))
+        params = self._split(self.theta)
+        self.W, self.U, self.b = params[0:-2:3], params[1:-2:3], params[2:-2:3]
+        self.W_out, self.b_out = params[-2:]
+        rng = np.random.default_rng(config.seed)
+        bound = 1.0 / np.sqrt(H)
+        for W, U, b in zip(self.W, self.U, self.b):
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+            U[...] = rng.uniform(-bound, bound, size=U.shape)
+            b[H : 2 * H] = 1.0  # forget-gate bias
+        self.W_out[...] = rng.uniform(-bound, bound, size=self.W_out.shape)
+        self._adam_m = np.zeros_like(self.theta)
+        self._adam_v = np.zeros_like(self.theta)
         self._adam_t = 0
 
     # -- parameter plumbing -------------------------------------------------
 
+    def _split(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of a theta-sized vector, one per parameter, in theta order."""
+        bounds = np.cumsum([0] + [math.prod(s) for s in self._shapes])
+        return [vec[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], self._shapes)]
+
     def parameters(self) -> list[np.ndarray]:
-        out = []
-        for l in range(self.config.num_layers):
-            out.extend([self.W[l], self.U[l], self.b[l]])
-        out.extend([self.W_out, self.b_out])
-        return out
+        return self._split(self.theta)
 
     def set_parameters(self, params: list[np.ndarray]) -> None:
         for dst, src in zip(self.parameters(), params):
@@ -152,104 +166,73 @@ class LstmModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def _forward_scaled(self, X: np.ndarray, want_cache: bool = False):
-        """X: (B, T, F) scaled. Returns (B, n_outputs) scaled predictions."""
+    def _forward_scaled(self, X: np.ndarray):
+        """X: (B, T, F) scaled. Returns (B, n_outputs) scaled predictions and
+        the per-layer (inputs, gates, c, h) arrays that backward reads."""
         cfg = self.config
         if X.ndim != 3 or X.shape[2] != cfg.input_width:
             raise DimensionError(f"expected (B, T, {cfg.input_width}), got {X.shape}")
         B, T, _ = X.shape
         H = cfg.hidden_size
-        caches = []
-        inp = X
-        for l in range(cfg.num_layers):
-            W, U, b = self.W[l], self.U[l], self.b[l]
-            h = np.zeros((B, H))
-            c = np.zeros((B, H))
-            cache = {k: np.empty((T, B, H)) for k in
-                     ("i", "f", "g", "o", "c", "tc", "h_prev", "c_prev")}
-            cache["x"] = np.transpose(inp, (1, 0, 2)).copy()
-            hs = np.empty((B, T, H))
+        layers = []
+        xs = X.transpose(1, 0, 2)
+        for W, U, b in zip(self.W, self.U, self.b):
+            gates = np.empty((T, B, 4 * H))
+            c = np.zeros((T + 1, B, H))
+            h = np.zeros((T + 1, B, H))
             for t in range(T):
-                z = inp[:, t, :] @ W + h @ U + b
-                i = _sigmoid(z[:, :H])
-                f = _sigmoid(z[:, H : 2 * H])
-                g = np.tanh(z[:, 2 * H : 3 * H])
-                o = _sigmoid(z[:, 3 * H :])
-                cache["h_prev"][t] = h
-                cache["c_prev"][t] = c
-                c = f * c + i * g
-                tc = np.tanh(c)
-                h = o * tc
-                cache["i"][t], cache["f"][t] = i, f
-                cache["g"][t], cache["o"][t] = g, o
-                cache["c"][t], cache["tc"][t] = c, tc
-                hs[:, t, :] = h
-            caches.append(cache)
-            inp = hs
-        h_last = inp[:, -1, :]
-        y = h_last @ self.W_out + self.b_out
-        if want_cache:
-            return y, (caches, h_last)
-        return y
+                z = xs[t] @ W + h[t] @ U + b
+                a = gates[t]
+                _sigmoid(z, out=a)
+                a[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+                i, f, g, o = (a[:, k * H : (k + 1) * H] for k in range(4))
+                c[t + 1] = f * c[t] + i * g
+                h[t + 1] = o * np.tanh(c[t + 1])
+            layers.append((xs, gates, c, h))
+            xs = h[1:]
+        return xs[-1] @ self.W_out + self.b_out, layers
 
-    def _backward(self, dY: np.ndarray, cache) -> list[np.ndarray]:
-        """Gradients in parameters() order, given dLoss/dY (B, n_outputs)."""
-        cfg = self.config
-        caches, h_last = cache
-        H = cfg.hidden_size
-        T = caches[0]["i"].shape[0]
-        B = dY.shape[0]
-        dW_out = h_last.T @ dY
-        db_out = dY.sum(axis=0)
+    def _backward(self, dY: np.ndarray, layers) -> np.ndarray:
+        """Gradient in theta order, given dLoss/dY (B, n_outputs)."""
+        H = self.config.hidden_size
+        grad = np.zeros_like(self.theta)
+        views = self._split(grad)
+        views[-2][...] = layers[-1][3][-1].T @ dY  # h at the last step of the top layer
+        views[-1][...] = dY.sum(axis=0)
+        T, B = layers[0][1].shape[:2]
         # dh_seq[t] = gradient wrt this layer's hidden output at step t
         dh_seq = np.zeros((T, B, H))
         dh_seq[-1] = dY @ self.W_out.T
-        grads_layers: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        for l in range(cfg.num_layers - 1, -1, -1):
-            cc = caches[l]
-            W, U = self.W[l], self.U[l]
-            in_dim = W.shape[0]
-            dW = np.zeros_like(W)
-            dU = np.zeros_like(U)
-            db = np.zeros_like(self.b[l])
-            dx_seq = np.zeros((T, B, in_dim))
-            dh_next = np.zeros((B, H))
-            dc_next = np.zeros((B, H))
+        for l in range(len(layers) - 1, -1, -1):
+            xs, gates, c, h = layers[l]
+            dW, dU, db = views[3 * l : 3 * l + 3]
+            tc = np.tanh(c[1:])
+            dz = np.empty((T, B, 4 * H))
+            dh_next = dc_next = np.zeros((B, H))
             for t in range(T - 1, -1, -1):
                 dh = dh_seq[t] + dh_next
-                i, f = cc["i"][t], cc["f"][t]
-                g, o = cc["g"][t], cc["o"][t]
-                tc = cc["tc"][t]
-                do = dh * tc * o * (1.0 - o)
-                dc = dh * o * (1.0 - tc * tc) + dc_next
-                di = dc * g * i * (1.0 - i)
-                dg = dc * i * (1.0 - g * g)
-                df = dc * cc["c_prev"][t] * f * (1.0 - f)
-                dz = np.concatenate([di, df, dg, do], axis=1)
-                x_t = cc["x"][t]
-                dW += x_t.T @ dz
-                dU += cc["h_prev"][t].T @ dz
-                db += dz.sum(axis=0)
-                dh_next = dz @ U.T
+                i, f, g, o = (gates[t, :, k * H : (k + 1) * H] for k in range(4))
+                dc = dh * o * (1.0 - tc[t] * tc[t]) + dc_next
+                dz[t, :, :H] = dc * g * i * (1.0 - i)
+                dz[t, :, H : 2 * H] = dc * c[t] * f * (1.0 - f)
+                dz[t, :, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+                dz[t, :, 3 * H :] = dh * tc[t] * o * (1.0 - o)
+                dW += xs[t].T @ dz[t]
+                dU += h[t].T @ dz[t]
+                db += dz[t].sum(axis=0)
+                dh_next = dz[t] @ self.U[l].T
                 dc_next = dc * f
-                dx_seq[t] = dz @ W.T
-            grads_layers.append((dW, dU, db))
-            dh_seq = dx_seq  # becomes the lower layer's output gradient
-        grads: list[np.ndarray] = []
-        for dW, dU, db in reversed(grads_layers):
-            grads.extend([dW, dU, db])
-        grads.extend([dW_out, db_out])
-        return grads
+            if l:  # becomes the lower layer's output gradient
+                dh_seq = dz @ self.W[l].T
+        return grad
 
     def loss_and_grads(self, X_scaled: np.ndarray, Y_scaled: np.ndarray):
-        y, cache = self._forward_scaled(X_scaled, want_cache=True)
+        y, layers = self._forward_scaled(X_scaled)
         err = y - Y_scaled
-        loss = float(np.mean(err * err))
-        dY = 2.0 * err / err.size
-        return loss, self._backward(dY, cache)
+        return float(np.mean(err * err)), self._backward(2.0 * err / err.size, layers)
 
     def loss(self, X_scaled: np.ndarray, Y_scaled: np.ndarray) -> float:
-        y = self._forward_scaled(X_scaled)
+        y, _ = self._forward_scaled(X_scaled)
         return float(np.mean((y - Y_scaled) ** 2))
 
     # -- public API ---------------------------------------------------------
@@ -266,20 +249,18 @@ class LstmModel:
             raise DimensionError(
                 f"expected {self.config.window} timesteps, got {X.shape[1]}"
             )
-        y_scaled = self._forward_scaled(self.scale_inputs(np.asarray(X, dtype=float)))
+        y_scaled, _ = self._forward_scaled(self.scale_inputs(np.asarray(X, dtype=float)))
         y = self.target_scaler.inverse(y_scaled)
         return y[0] if single else y
 
-    def adam_step(self, grads: list[np.ndarray]) -> None:
+    def adam_step(self, grad: np.ndarray) -> None:
         self._adam_t += 1
-        lr = self.config.learning_rate
-        t = self._adam_t
-        for p, g, m, v in zip(self.parameters(), grads, self._adam_m, self._adam_v):
-            m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1**t)
-            v_hat = v / (1.0 - ADAM_BETA2**t)
-            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v, t = self._adam_m, self._adam_v, self._adam_t
+        m[...] = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+        v[...] = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        self.theta -= self.config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def make_windows(panel: AlignedPanel, window: int = 6) -> tuple[np.ndarray, np.ndarray]:
@@ -300,14 +281,13 @@ def train(
     model: LstmModel,
     train_windows: tuple[np.ndarray, np.ndarray],
     val_windows: tuple[np.ndarray, np.ndarray],
-    config: LstmConfig | None = None,
 ) -> TrainReport:
     """Mini-batch Adam on scaled-space MSE; keeps the best-validation weights.
 
     Bit-reproducible for a fixed config seed: batch order comes from a
     dedicated Generator and all reductions are index-ordered.
     """
-    cfg = config or model.config
+    cfg = model.config
     X_tr, Y_tr = train_windows
     X_va, Y_va = val_windows
     if X_tr.shape[0] == 0 or X_va.shape[0] == 0:
@@ -325,16 +305,16 @@ def train(
     val_mse: list[float] = []
     best_epoch = 0
     best_val = np.inf
-    best_params = [p.copy() for p in model.parameters()]
+    best_theta = model.theta.copy()
     n = Xs_tr.shape[0]
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss, grads = model.loss_and_grads(Xs_tr[idx], Ys_tr[idx])
+            loss, grad = model.loss_and_grads(Xs_tr[idx], Ys_tr[idx])
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
-            model.adam_step(grads)
+            model.adam_step(grad)
         tr = model.loss(Xs_tr, Ys_tr)
         va = model.loss(Xs_va, Ys_va)
         if not (np.isfinite(tr) and np.isfinite(va)):
@@ -344,8 +324,8 @@ def train(
         if va < best_val:
             best_val = va
             best_epoch = epoch
-            best_params = [p.copy() for p in model.parameters()]
-    model.set_parameters(best_params)
+            best_theta = model.theta.copy()
+    model.theta[...] = best_theta
     return TrainReport(
         train_mse=train_mse,
         val_mse=val_mse,
@@ -371,26 +351,20 @@ def gradient_check(
         Y = Y[None, ...]
     Xs = model.scale_inputs(np.asarray(X, dtype=float))
     Ys = model.target_scaler.transform(np.asarray(Y, dtype=float))
-    _, grads = model.loss_and_grads(Xs, Ys)
-    params = model.parameters()
-    sizes = [p.size for p in params]
-    total = sum(sizes)
+    _, grad = model.loss_and_grads(Xs, Ys)
+    theta = model.theta
     rng = np.random.default_rng(seed)
-    probes = rng.choice(total, size=min(probe_count, total), replace=False)
-    offsets = np.cumsum([0] + sizes)
+    probes = rng.choice(theta.size, size=min(probe_count, theta.size), replace=False)
     worst = 0.0
-    for flat in probes:
-        pi = int(np.searchsorted(offsets, flat, side="right") - 1)
-        local = int(flat - offsets[pi])
-        p = params[pi].ravel()
-        orig = p[local]
-        p[local] = orig + step
+    for k in probes:
+        orig = theta[k]
+        theta[k] = orig + step
         loss_plus = model.loss(Xs, Ys)
-        p[local] = orig - step
+        theta[k] = orig - step
         loss_minus = model.loss(Xs, Ys)
-        p[local] = orig
+        theta[k] = orig
         g_num = (loss_plus - loss_minus) / (2.0 * step)
-        g_ana = grads[pi].ravel()[local]
+        g_ana = grad[k]
         err = abs(g_ana - g_num) / max(abs(g_ana) + abs(g_num), 1e-8)
         worst = max(worst, err)
     return worst
@@ -399,13 +373,8 @@ def gradient_check(
 def predict_series(model: LstmModel, panel: AlignedPanel):
     """Walk-forward predictions: date t uses rows t-6..t-1 only."""
     w = model.config.window
-    feats = panel.feature_matrix()
-    n = feats.shape[0]
-    if n < w + 1:
-        raise InsufficientDataError(f"need >= {w + 1} rows, have {n}")
-    X = np.stack([feats[t - w : t] for t in range(w, n)])
-    preds = model.forward(X)
-    return panel.dates[w:], preds
+    X, _ = make_windows(panel, w)
+    return panel.dates[w:], model.forward(X)
 
 
 # -- checkpointing ----------------------------------------------------------

@@ -75,7 +75,6 @@ def train_forecaster(
         model,
         make_windows(train_panel, config.window),
         make_windows(val_panel, config.window),
-        config,
     )
     test_start = train_panel.n_rows + val_panel.n_rows
     return model, report, test_start

@@ -208,15 +208,16 @@ def aggregate_weekly(
 def weekly_windows(
     records: list[SentimentRecord], first_date: dt.date, last_date: dt.date
 ) -> list[WeeklySentiment]:
-    """Non-overlapping 7-day blocks anchored at first_date."""
-    out = []
-    start = first_date
-    while start <= last_date:
-        end = start + dt.timedelta(days=6)
-        block = [r for r in records if start <= r.date <= end]
-        out.append(aggregate_weekly(block, start))
-        start = end + dt.timedelta(days=1)
-    return out
+    """Non-overlapping 7-day blocks anchored at first_date; the last block
+    starts on or before last_date and keeps its full seven days."""
+    n_weeks = max(0, (last_date - first_date).days // 7 + 1)
+    blocks: list[list[SentimentRecord]] = [[] for _ in range(n_weeks)]
+    for r in records:
+        week = (r.date - first_date).days // 7
+        if 0 <= week < n_weeks:
+            blocks[week].append(r)
+    return [aggregate_weekly(block, first_date + dt.timedelta(days=7 * k))
+            for k, block in enumerate(blocks)]
 
 
 def daily_features(

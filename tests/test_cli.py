@@ -249,7 +249,41 @@ def _swap_panel_columns(root):
     _edit(_ingested(root), "AAA:likes,AAA:retweets", "AAA:retweets,AAA:likes")
 
 
+def _config_edit(old, new):
+    return lambda root: _edit(root / "config.yaml", old, new)
+
+
+MONTE_CARLO = "monte_carlo:\n  count: 300\n  seed: 0\n"
+
 BAD_INPUTS = {
+    "split not a mapping": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nsplit: 0.5"), "split must be a mapping"),
+    "monte_carlo not a mapping": (
+        "ingest", _config_edit(MONTE_CARLO, "monte_carlo: 5\n"), "monte_carlo must be a mapping"),
+    "split fraction not a number": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nsplit: {train: lots}"),
+        "split.train must be a number"),
+    "monte_carlo count not a number": (
+        "ingest", _config_edit("count: 300", "count: many"), "monte_carlo.count must be an integer"),
+    "monte_carlo count zero": (
+        "ingest", _config_edit("count: 300", "count: 0"), "monte_carlo.count must be >= 1"),
+    "monte_carlo count fractional": (
+        "ingest", _config_edit("count: 300", "count: 2.5"), "monte_carlo.count must be an integer"),
+    "cov_window not a number": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\ncov_window: wide"),
+        "cov_window must be an integer"),
+    "initial_capital not a number": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\ninitial_capital: rich"),
+        "initial_capital must be a number"),
+    "max_lag not a number": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: two"), "max_lag must be an integer"),
+    "replicate_seeds not a list": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nreplicate_seeds: 5"),
+        "replicate_seeds must be a list"),
+    "assets not a list": (
+        "ingest", _config_edit("assets: [AAA, BBB, CCC]", "assets: 5"), "assets must be a list"),
+    "data_dir not a path": (
+        "ingest", _config_edit("data_dir: data", "data_dir: [data]"), "data_dir must be a path"),
     "lstm width disagrees with assets": (
         "ingest", lambda root: _edit(root / "config.yaml", "  hidden_size: 4",
                                      "  hidden_size: 4\n  input_width: 30"),
@@ -292,3 +326,17 @@ def test_three_asset_chain(tmp_path):
     assert (checkpoint["config"]["input_width"], checkpoint["config"]["n_outputs"]) == (18, 3)
     lines = artifact(root, "report.csv").read_text().splitlines()
     assert len(lines) == 2 + 5  # stamp + header + one row per strategy
+
+
+def test_analyze_writes_nan_granger_rows_for_constant_ratio(tmp_path):
+    root = populate(tmp_path, THREE_ASSETS)
+    sentiment_csv = root / "data" / "sentiment.csv"
+    lines = sentiment_csv.read_text().splitlines(keepends=True)
+    sentiment_csv.write_text("".join(ln for ln in lines if ",CCC," not in ln))
+    for command in ("ingest", "analyze"):
+        assert run(root, command) == 0, command
+    rows = [ln.split(",") for ln in artifact(root, "granger.csv").read_text().splitlines()[2:]]
+    assert [r[:2] for r in rows] == [[a, lag] for a in ("AAA", "BBB", "CCC") for lag in "12"]
+    for asset, _, f_stat, _, _, p, significant in rows:
+        assert (f_stat == "nan" and p == "nan") == (asset == "CCC")
+        assert asset != "CCC" or significant == "0"

@@ -5,6 +5,9 @@ import pytest
 
 from sentfolio.errors import DimensionError, InsufficientDataError
 from sentfolio.forecast_lstm import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     LstmConfig,
     LstmModel,
     MinMaxScaler,
@@ -148,7 +151,7 @@ class TestTrain:
         cfg = small_config(epochs=200)
         model = fitted_model(panel, cfg)
         X, Y = make_windows(panel)
-        report = train(model, (X, Y), (X, Y), cfg)
+        report = train(model, (X, Y), (X, Y))
         assert min(report.train_mse) < 1e-6
 
     def test_sine_beats_persistence(self):
@@ -161,7 +164,7 @@ class TestTrain:
         model.fit_scaler(tr.feature_matrix(), panel.price_column_indices())
         Xtr, Ytr = make_windows(tr)
         Xva, Yva = make_windows(va)
-        report = train(model, (Xtr, Ytr), (Xva, Yva), cfg)
+        report = train(model, (Xtr, Ytr), (Xva, Yva))
         # persistence oracle: predict the day-6 price for day 7
         Xs = model.scale_inputs(Xva)
         Ys = model.target_scaler.transform(Yva)
@@ -176,7 +179,7 @@ class TestTrain:
         for _ in range(2):
             model = fitted_model(panel, cfg)
             X, Y = make_windows(panel)
-            report = train(model, (X, Y), (X, Y), cfg)
+            report = train(model, (X, Y), (X, Y))
             runs.append(report.train_mse[0])
         assert runs[0] == runs[1]  # bit-identical
 
@@ -185,7 +188,7 @@ class TestTrain:
         cfg = small_config(epochs=80)
         model = fitted_model(panel, cfg)
         X, Y = make_windows(panel)
-        report = train(model, (X, Y), (X, Y), cfg)
+        report = train(model, (X, Y), (X, Y))
         assert report.train_mse[-1] < report.train_mse[0]
 
 
@@ -245,9 +248,42 @@ class TestPredictSeries:
         cfg = small_config(epochs=200)
         model = fitted_model(panel, cfg)
         X, Y = make_windows(panel)
-        train(model, (X, Y), (X, Y), cfg)
+        train(model, (X, Y), (X, Y))
         _, preds = predict_series(model, panel)
         np.testing.assert_allclose(preds, 50.0, rtol=0.01)
+
+
+class TestParameterVector:
+    def test_parameters_are_views_of_theta(self):
+        model = LstmModel(small_config(num_layers=2))
+        params = model.parameters()
+        assert sum(p.size for p in params) == model.theta.size
+        assert all(np.shares_memory(p, model.theta) for p in params)
+        np.testing.assert_array_equal(
+            np.concatenate([p.ravel() for p in params]), model.theta)
+        params[1][0, 2] = 7.5  # U of layer 0
+        assert model.U[0][0, 2] == 7.5 and 7.5 in model.theta
+        model.theta[-1] = -3.25  # last entry of b_out
+        assert model.b_out[-1] == -3.25 and params[-1][-1] == -3.25
+
+    def test_adam_step_matches_per_array_reference(self):
+        cfg = small_config(num_layers=2)
+        model = LstmModel(cfg)
+        ref = [p.copy() for p in model.parameters()]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        rng = np.random.default_rng(5)
+        for t in range(1, 4):
+            grads = [rng.normal(size=p.shape) for p in ref]
+            model.adam_step(np.concatenate([g.ravel() for g in grads]))
+            for p, g, mk, vk in zip(ref, grads, m, v):
+                mk[...] = ADAM_BETA1 * mk + (1.0 - ADAM_BETA1) * g
+                vk[...] = ADAM_BETA2 * vk + (1.0 - ADAM_BETA2) * g * g
+                m_hat = mk / (1.0 - ADAM_BETA1**t)
+                v_hat = vk / (1.0 - ADAM_BETA2**t)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            for got, want in zip(model.parameters(), ref):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestCheckpoint:
@@ -260,6 +296,8 @@ class TestCheckpoint:
         again = load_checkpoint(path)
         np.testing.assert_array_equal(model.forward(X[0]), again.forward(X[0]))
         assert again.config == model.config
+        save_checkpoint(again, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
 
 class TestGradientAcrossSeeds:

@@ -14,6 +14,7 @@ from sentfolio.sentiment import (
     daily_features,
     label_text,
     sentiment_ratio,
+    weekly_windows,
 )
 
 D0 = dt.date(2020, 3, 2)
@@ -110,6 +111,29 @@ class TestAggregateWeekly:
         base = aggregate_weekly(records, D0)
         shuffled = aggregate_weekly([records[i] for i in order], D0)
         assert shuffled == base
+
+
+class TestWeeklyWindows:
+    def test_matches_brute_force_blocks(self):
+        # last_date D0+15 leaves a partial third block D0+14..D0+20
+        offsets = [-1, 0, 6, 7, 13, 3, 14, 20, 21, 15, 0]
+        labels = ["Positive", "Negative", "Neutral"]
+        records = [rec(d, labels[k % 3], (0.1, -0.1, 0.0)[k % 3], likes=k)
+                   for k, d in enumerate(offsets)]
+        last = D0 + dt.timedelta(days=15)
+        got = weekly_windows(records, D0, last)
+        expected = []
+        start = D0
+        while start <= last:
+            end = start + dt.timedelta(days=6)
+            block = [r for r in records if start <= r.date <= end]
+            expected.append(aggregate_weekly(block, start))
+            start = end + dt.timedelta(days=1)
+        assert got == expected
+        assert [w.n_total for w in got] == [4, 2, 3]  # -1 and 21 are dropped
+
+    def test_empty_span(self):
+        assert weekly_windows([rec(0, "Neutral", 0.0)], D0, D0 - dt.timedelta(days=1)) == []
 
 
 class TestDailyRatio:
