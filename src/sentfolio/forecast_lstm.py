@@ -9,6 +9,19 @@ W[0], U[0], b[0], ..., W[L-1], U[L-1], b[L-1], W_out, b_out (row-major); the
 named weights, the gradient and the Adam moments share that layout.  The
 forward pass keeps per layer the activated gates (T, B, 4H) and the cell and
 hidden states c, h (T+1, B, H), whose index 0 is the zero initial state.
+
+The step kernels write into those arrays in place, but every GEMM, sum and
+product runs on the same operands and in the same order as the plain
+per-step formulas, so losses, gradients and trained weights are bit-identical
+to them (``tests/test_kernel_oracles.py`` checks this).  The input projection
+``x_t W`` and the ``dW``/``dU`` accumulations therefore stay one GEMM per
+step: one GEMM over all T*B rows makes OpenBLAS pick another kernel at some
+row counts.  With 30 inputs and 4H = 52 that changes entries by up to 6.7e-16
+at B = 194 and 554, and at B = 1 it changes every shape tried.
+
+Each epoch re-scores the whole train set only to log ``train_mse``.  Dropping
+that pass waits for a benchmark change, because the benchmark pins
+``forecast_lstm.loss.calls`` at 2 per epoch and model.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, InsufficientDataError
+from .errors import DimensionError, DivergenceError, InsufficientDataError, SentfolioError
 from .market_data import AlignedPanel
 
 ADAM_BETA1 = 0.9
@@ -62,8 +75,11 @@ class TrainReport:
     wall_time: float
 
     def __post_init__(self):
-        if self.val_mse:
-            assert self.val_mse[self.best_epoch] == min(self.val_mse)
+        if self.val_mse and not (0 <= self.best_epoch < len(self.val_mse)
+                                 and self.val_mse[self.best_epoch] == min(self.val_mse)):
+            raise SentfolioError(
+                f"best_epoch {self.best_epoch} is not an argmin of val_mse"
+            )
 
 
 class MinMaxScaler:
@@ -103,11 +119,20 @@ class MinMaxScaler:
 
 
 def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
-    """Overflow-free logistic function of ``x``, written into ``out``."""
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    """Overflow-free logistic function of ``x``, written into ``out`` (which
+    may be ``x`` itself).
+
+    With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
+    bit for bit the two-branch formula, with the numerator max(e, [x >= 0])
+    taken without masks or fancy indexing.  NaN stays NaN.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    out /= e
 
 
 class LstmModel:
@@ -129,7 +154,8 @@ class LstmModel:
             self._shapes += [(in_dim, 4 * H), (H, 4 * H), (4 * H,)]
             in_dim = H
         self._shapes += [(H, config.n_outputs), (config.n_outputs,)]
-        self.theta = np.zeros(sum(math.prod(s) for s in self._shapes))
+        self._bounds = np.cumsum([0] + [math.prod(s) for s in self._shapes]).tolist()
+        self.theta = np.zeros(self._bounds[-1])
         params = self._split(self.theta)
         self.W, self.U, self.b = params[0:-2:3], params[1:-2:3], params[2:-2:3]
         self.W_out, self.b_out = params[-2:]
@@ -148,7 +174,7 @@ class LstmModel:
 
     def _split(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of a theta-sized vector, one per parameter, in theta order."""
-        bounds = np.cumsum([0] + [math.prod(s) for s in self._shapes])
+        bounds = self._bounds
         return [vec[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], self._shapes)]
 
     def parameters(self) -> list[np.ndarray]:
@@ -176,18 +202,24 @@ class LstmModel:
         H = cfg.hidden_size
         layers = []
         xs = X.transpose(1, 0, 2)
+        hU = np.empty((B, 4 * H))
         for W, U, b in zip(self.W, self.U, self.b):
             gates = np.empty((T, B, 4 * H))
             c = np.zeros((T + 1, B, H))
             h = np.zeros((T + 1, B, H))
             for t in range(T):
-                z = xs[t] @ W + h[t] @ U + b
-                a = gates[t]
-                _sigmoid(z, out=a)
-                a[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
-                i, f, g, o = (a[:, k * H : (k + 1) * H] for k in range(4))
-                c[t + 1] = f * c[t] + i * g
-                h[t + 1] = o * np.tanh(c[t + 1])
+                a = gates[t]  # z = x W + h U + b, summed in that order
+                np.matmul(xs[t], W, out=a)
+                a += np.matmul(h[t], U, out=hU)
+                a += b
+                g = np.tanh(a[:, 2 * H : 3 * H])
+                _sigmoid(a, out=a)
+                a[:, 2 * H : 3 * H] = g
+                np.multiply(a[:, H : 2 * H], c[t], out=c[t + 1])
+                g *= a[:, :H]
+                c[t + 1] += g
+                np.tanh(c[t + 1], out=h[t + 1])
+                h[t + 1] *= a[:, 3 * H :]
             layers.append((xs, gates, c, h))
             xs = h[1:]
         return xs[-1] @ self.W_out + self.b_out, layers
@@ -203,25 +235,43 @@ class LstmModel:
         # dh_seq[t] = gradient wrt this layer's hidden output at step t
         dh_seq = np.zeros((T, B, H))
         dh_seq[-1] = dY @ self.W_out.T
+        i, f, g, o = (slice(k * H, (k + 1) * H) for k in range(4))
+        dh, dc, dh_next, dc_next = (np.zeros((B, H)) for _ in range(4))
         for l in range(len(layers) - 1, -1, -1):
             xs, gates, c, h = layers[l]
             dW, dU, db = views[3 * l : 3 * l + 3]
+            U_T = self.U[l].T
             tc = np.tanh(c[1:])
+            d_tc = 1.0 - tc * tc
+            # Each gate block of dz is (first * gate) * one_minus, the
+            # left-to-right products of
+            #   dc*g*i*(1-i), dc*c*f*(1-f), dc*i*(1-g*g), dh*tc*o*(1-o),
+            # with 1 as the g block's gate factor (x * 1 == x exactly).
+            gate = gates.copy()
+            gate[:, :, g] = 1.0
+            one_minus = 1.0 - gates
+            np.multiply(gates[:, :, g], gates[:, :, g], out=one_minus[:, :, g])
+            np.subtract(1.0, one_minus[:, :, g], out=one_minus[:, :, g])
             dz = np.empty((T, B, 4 * H))
-            dh_next = dc_next = np.zeros((B, H))
+            dh_next.fill(0.0)
+            dc_next.fill(0.0)
             for t in range(T - 1, -1, -1):
-                dh = dh_seq[t] + dh_next
-                i, f, g, o = (gates[t, :, k * H : (k + 1) * H] for k in range(4))
-                dc = dh * o * (1.0 - tc[t] * tc[t]) + dc_next
-                dz[t, :, :H] = dc * g * i * (1.0 - i)
-                dz[t, :, H : 2 * H] = dc * c[t] * f * (1.0 - f)
-                dz[t, :, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
-                dz[t, :, 3 * H :] = dh * tc[t] * o * (1.0 - o)
-                dW += xs[t].T @ dz[t]
-                dU += h[t].T @ dz[t]
-                db += dz[t].sum(axis=0)
-                dh_next = dz[t] @ self.U[l].T
-                dc_next = dc * f
+                a, dz_t = gates[t], dz[t]
+                np.add(dh_seq[t], dh_next, out=dh)
+                np.multiply(dh, a[:, o], out=dc)
+                dc *= d_tc[t]
+                dc += dc_next
+                np.multiply(dc, a[:, g], out=dz_t[:, i])
+                np.multiply(dc, c[t], out=dz_t[:, f])
+                np.multiply(dc, a[:, i], out=dz_t[:, g])
+                np.multiply(dh, tc[t], out=dz_t[:, o])
+                dz_t *= gate[t]
+                dz_t *= one_minus[t]
+                dW += xs[t].T @ dz_t
+                dU += h[t].T @ dz_t
+                db += dz_t.sum(axis=0)
+                np.matmul(dz_t, U_T, out=dh_next)
+                np.multiply(dc, a[:, f], out=dc_next)
             if l:  # becomes the lower layer's output gradient
                 dh_seq = dz @ self.W[l].T
         return grad

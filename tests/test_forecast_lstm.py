@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sentfolio.errors import DimensionError, InsufficientDataError
+from sentfolio.cli import USER_ERRORS
+from sentfolio.errors import DimensionError, InsufficientDataError, SentfolioError
 from sentfolio.forecast_lstm import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -11,6 +12,7 @@ from sentfolio.forecast_lstm import (
     LstmConfig,
     LstmModel,
     MinMaxScaler,
+    TrainReport,
     gradient_check,
     load_checkpoint,
     make_windows,
@@ -190,6 +192,14 @@ class TestTrain:
         X, Y = make_windows(panel)
         report = train(model, (X, Y), (X, Y))
         assert report.train_mse[-1] < report.train_mse[0]
+
+    @pytest.mark.parametrize("best_epoch", [0, 2, 3, -2])
+    def test_report_refuses_best_epoch_off_the_argmin(self, best_epoch):
+        # -2 indexes the minimum from the end; 3 is past the last epoch
+        with pytest.raises(SentfolioError, match="argmin") as info:
+            TrainReport(train_mse=[3.0, 2.0, 1.5], val_mse=[2.0, 1.0, 1.5],
+                        best_epoch=best_epoch, wall_time=0.0)
+        assert not isinstance(info.value, USER_ERRORS)  # a defect: exit 1
 
 
 class TestGradientCheck:

@@ -1,0 +1,177 @@
+"""Exact oracles for the hot-path kernels: the logistic function, the LSTM
+forward/backward pass and the Monte-Carlo portfolio variance.
+
+Each fast kernel keeps every GEMM, sum and product of its reference in the
+same order, so the comparisons here are bit for bit, not within a tolerance.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid
+from sentfolio.portfolio_opt import VOL_FLOOR, Moments, frontier_samples
+
+
+def assert_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+# -- logistic function ------------------------------------------------------
+
+def two_branch_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def sigmoid_inputs():
+    tiny = np.finfo(float).tiny
+    edges = np.arange(745.0, 801.0)
+    special = [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, tiny / 3, -tiny / 3,
+               tiny, -tiny, 1e-310, -1e-310]
+    normal = 10.0 * np.random.default_rng(0).standard_normal(100_000)
+    return np.concatenate([special, edges, -edges, edges + 0.5, -edges - 0.5, normal])
+
+
+class TestSigmoid:
+    def test_matches_two_branch_formula(self):
+        x = sigmoid_inputs()
+        out = np.empty_like(x)
+        _sigmoid(x, out=out)
+        assert_bits(out, two_branch_sigmoid(x))
+
+    def test_in_place(self):
+        x = sigmoid_inputs().reshape(-1, 4)
+        expected = two_branch_sigmoid(x)
+        _sigmoid(x, out=x)
+        assert_bits(x, expected)
+
+    def test_nan_maps_to_nan_without_warning(self):
+        x = np.array([np.nan, -np.nan, 1.0, np.nan, -2.0])
+        out = np.empty_like(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _sigmoid(x, out=out)
+        assert np.isnan(out[[0, 1, 3]]).all()
+        assert_bits(out[[2, 4]], two_branch_sigmoid(x[[2, 4]]))
+
+
+# -- LSTM forward and BPTT ----------------------------------------------------
+
+def reference_forward(model, X):
+    """Per-step forward pass with the unpacked gates, as first written."""
+    H = model.config.hidden_size
+    B, T, _ = X.shape
+    layers = []
+    xs = X.transpose(1, 0, 2)
+    for W, U, b in zip(model.W, model.U, model.b):
+        gates = np.empty((T, B, 4 * H))
+        c = np.zeros((T + 1, B, H))
+        h = np.zeros((T + 1, B, H))
+        for t in range(T):
+            z = xs[t] @ W + h[t] @ U + b
+            a = gates[t]
+            a[...] = two_branch_sigmoid(z)
+            a[:, 2 * H : 3 * H] = np.tanh(z[:, 2 * H : 3 * H])
+            i, f, g, o = (a[:, k * H : (k + 1) * H] for k in range(4))
+            c[t + 1] = f * c[t] + i * g
+            h[t + 1] = o * np.tanh(c[t + 1])
+        layers.append((xs, gates, c, h))
+        xs = h[1:]
+    return xs[-1] @ model.W_out + model.b_out, layers
+
+
+def reference_backward(model, dY, layers):
+    """Per-step BPTT with the gate products spelled out, as first written."""
+    H = model.config.hidden_size
+    T, B = layers[0][1].shape[:2]
+    grads = [None] * (3 * len(layers))
+    dh_seq = np.zeros((T, B, H))
+    dh_seq[-1] = dY @ model.W_out.T
+    for l in range(len(layers) - 1, -1, -1):
+        xs, gates, c, h = layers[l]
+        dW = np.zeros_like(model.W[l])
+        dU = np.zeros_like(model.U[l])
+        db = np.zeros_like(model.b[l])
+        tc = np.tanh(c[1:])
+        dz = np.empty((T, B, 4 * H))
+        dh_next = dc_next = np.zeros((B, H))
+        for t in range(T - 1, -1, -1):
+            dh = dh_seq[t] + dh_next
+            i, f, g, o = (gates[t, :, k * H : (k + 1) * H] for k in range(4))
+            dc = dh * o * (1.0 - tc[t] * tc[t]) + dc_next
+            dz[t, :, :H] = dc * g * i * (1.0 - i)
+            dz[t, :, H : 2 * H] = dc * c[t] * f * (1.0 - f)
+            dz[t, :, 2 * H : 3 * H] = dc * i * (1.0 - g * g)
+            dz[t, :, 3 * H :] = dh * tc[t] * o * (1.0 - o)
+            dW += xs[t].T @ dz[t]
+            dU += h[t].T @ dz[t]
+            db += dz[t].sum(axis=0)
+            dh_next = dz[t] @ model.U[l].T
+            dc_next = dc * f
+        grads[3 * l : 3 * l + 3] = dW, dU, db
+        if l:
+            dh_seq = dz @ model.W[l].T
+    grads += [layers[-1][3][-1].T @ dY, dY.sum(axis=0)]
+    return np.concatenate([g.ravel() for g in grads])
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("hidden", [4, 13, 16])
+@pytest.mark.parametrize("width", [30, 12])
+def test_lstm_matches_per_step_reference(num_layers, hidden, width):
+    rng = np.random.default_rng(100 * num_layers + hidden + width)
+    for batch in (1, 7, 32, 194, 554):
+        model = LstmModel(LstmConfig(input_width=width, hidden_size=hidden,
+                                     num_layers=num_layers, n_outputs=5,
+                                     seed=batch))
+        X = rng.uniform(size=(batch, 6, width))
+        Y = rng.uniform(size=(batch, 5))
+        for _ in range(3):  # fresh Adam state, then two updated ones
+            y_ref, layers_ref = reference_forward(model, X)
+            y, layers = model._forward_scaled(X)
+            assert_bits(y, y_ref)
+            for got, want in zip(layers, layers_ref):
+                for a, b in zip(got, want):
+                    assert_bits(a, b)
+            err = y_ref - Y
+            assert model.loss(X, Y) == float(np.mean(err ** 2))
+            loss, grad = model.loss_and_grads(X, Y)
+            assert loss == float(np.mean(err * err))
+            assert_bits(grad, reference_backward(model, 2.0 * err / err.size, layers_ref))
+            model.adam_step(grad)
+
+
+# -- Monte-Carlo portfolio variance -----------------------------------------
+
+def random_cov(rng, n):
+    A = rng.standard_normal((n, n + 3)) * 0.02
+    return A @ A.T
+
+
+@pytest.mark.parametrize("n_assets", range(1, 13))
+def test_frontier_variance_matches_einsum(n_assets):
+    rng = np.random.default_rng(n_assets)
+    mu = rng.normal(0.001, 0.01, n_assets)
+    for cov in (random_cov(rng, n_assets), np.zeros((n_assets, n_assets))):
+        m = Moments(mu=mu, cov=cov)
+        for count in (1, 7, 50_000):
+            for risk_free in (0.0, 0.0003):
+                W, exp_ret, vol, sharpe = frontier_samples(m, count, seed=count,
+                                                           risk_free=risk_free)
+                draws = np.random.default_rng(count).exponential(size=(count, n_assets))
+                assert_bits(W, draws / draws.sum(axis=1, keepdims=True))
+                variance = np.einsum("ij,jk,ik->i", W, cov, W)
+                expected_vol = np.sqrt(np.maximum(variance, 0.0))
+                assert_bits(exp_ret, W @ mu)
+                assert_bits(vol, expected_vol)
+                assert_bits(sharpe, np.where(
+                    expected_vol < VOL_FLOOR, 0.0,
+                    (W @ mu - risk_free) / np.maximum(expected_vol, VOL_FLOOR)))

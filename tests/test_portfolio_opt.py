@@ -250,6 +250,18 @@ class TestPredictiveWeights:
         pred, last, trailing = self.make_inputs()
         with pytest.raises(DimensionError):
             predictive_weights(pred, last[:-1], trailing, count=100, seed=0)
+        with pytest.raises(DimensionError):  # a trailing window of 2 assets, not 3
+            predictive_weights(pred, last, [w[:, :2] for w in trailing], count=100, seed=0)
+
+    def test_each_day_covariance_checked_once(self, monkeypatch):
+        pred, last, trailing = self.make_inputs(T=4)
+        expected = [estimate_moments(w).cov for w in trailing]
+        checked = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a: checked.append(a.copy()) or eigvalsh(a))
+        predictive_weights(pred, last, trailing, count=100, seed=0)
+        assert [c.tobytes() for c in checked] == [c.tobytes() for c in expected]
 
     def test_strong_signal_tilts_weights(self):
         # asset 0 predicted +5%, others flat; independent equal risk
