@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -267,16 +268,14 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
     daily = None
     if cfg.sentiment_file is not None:
         lex = sentiment.Lexicon.from_file(cfg.lexicon_file) if cfg.lexicon_file else None
-        records = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
+        table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
         all_dates = sorted({d for s in series for d in s.dates})
-        daily = {}
-        for asset in cfg.assets:
-            recs = [r for r in records if r.asset_id == asset]
-            daily[asset] = sentiment.daily_features(recs, all_dates)
+        daily = {asset: sentiment.daily_features(table, asset, all_dates)
+                 for asset in cfg.assets}
     return align_panel(series, daily)
 
 
-def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: Iterable) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(cfg.stamp() + "\n")
         writer = csv.writer(fh)
@@ -300,24 +299,18 @@ def cmd_label(cfg: RunConfig) -> int:
         raise ConfigurationError("label requires sentiment_file and lexicon_file")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     lex = sentiment.Lexicon.from_file(cfg.lexicon_file)
-    records = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
+    table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
     out = cfg.out_dir / "labeled.csv"
-    _write_csv(
-        out, cfg,
-        ["date", "asset", "text", "label", "polarity", "likes", "retweets", "comments"],
-        [[r.date.isoformat(), r.asset_id, r.text, r.label, repr(r.polarity),
-          r.likes, r.retweets, r.comments] for r in records],
-    )
-    print(f"labeled {len(records)} records -> {out}")
+    _write_csv(out, cfg, list(sentiment.COLUMNS), table.csv_rows())
+    print(f"labeled {len(table)} records -> {out}")
     return 0
 
 
-def _weekly_stats_and_returns(panel: AlignedPanel, asset: str, records) -> tuple[list, list]:
+def _weekly_stats_and_returns(panel: AlignedPanel, asset: str,
+                              table: sentiment.SentimentTable) -> tuple[list, list]:
     """Per-week sentiment aggregates paired with the week's total return."""
     first = panel.dates[0]
-    weeks = sentiment.weekly_windows(
-        [r for r in records if r.asset_id == asset], first, panel.dates[-1]
-    )
+    weeks = sentiment.weekly_windows(table, asset, first, panel.dates[-1])
     rows: list[list[int]] = [[] for _ in weeks]
     for i, d in enumerate(panel.dates):
         rows[(d - first).days // 7].append(i)
@@ -337,11 +330,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if cfg.sentiment_file is None:
         raise ConfigurationError("analyze requires sentiment_file")
     lex = sentiment.Lexicon.from_file(cfg.lexicon_file) if cfg.lexicon_file else None
-    records = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
+    table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
 
     corr_rows = []
     for asset in panel.assets:
-        weeks, weekly_returns = _weekly_stats_and_returns(panel, asset, records)
+        weeks, weekly_returns = _weekly_stats_and_returns(panel, asset, table)
         row = [asset]
         for attr in ("mean_pol", "max_pol", "median_pol", "ratio"):
             series = [getattr(w, attr) for w in weeks]

@@ -1,4 +1,23 @@
-"""Lexicon-rule polarity scoring and daily/weekly sentiment aggregation."""
+"""Lexicon-rule polarity scoring and daily/weekly sentiment aggregation.
+
+``load_sentiment_csv`` reads the sentiment file into one ``SentimentTable``
+of columns, row i being line ``line[i]`` of the file:
+
+- ``day``: int64 day ordinals (``datetime.date.toordinal``);
+- ``asset``: int64 codes into the tuple ``assets`` of stripped asset names,
+  numbered in order of first appearance;
+- ``text``: a list of str;
+- ``label``: int8 codes into ``LABELS`` (0 Positive, 1 Negative, 2 Neutral);
+- ``polarity``: float64, in [-1, 1] with the sign its label implies;
+- ``engagement``: int64 ``[N, 3]``, the likes, retweets and comments counts,
+  each in [0, MAX_COUNT].
+
+``daily_features`` and ``weekly_windows`` aggregate one asset's rows with
+numpy and give results bit-identical to the per-row formulas: integer
+engagement sums converted to float once, the ``math.fsum`` mean, ``max`` and
+``statistics.median`` of each week's polarities in file order, and
+``sentiment_ratio`` of the label counts.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +25,10 @@ import csv
 import datetime as dt
 import math
 import re
+from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from statistics import median
 
@@ -18,6 +40,13 @@ POSITIVE = "Positive"
 NEGATIVE = "Negative"
 NEUTRAL = "Neutral"
 LABELS = (POSITIVE, NEGATIVE, NEUTRAL)
+_LABEL_CODES = {name: code for code, name in enumerate(LABELS)}
+# Code of a label outside LABELS while the file is read; validation refuses it.
+_UNKNOWN = len(LABELS)
+ENGAGEMENT = ("likes", "retweets", "comments")
+COLUMNS = ("date", "asset", "text", "label", "polarity", *ENGAGEMENT)
+# Largest engagement count: every integer up to it is exact as a float.
+MAX_COUNT = 2**53
 
 # |polarity| below this is treated as no signal.
 NEUTRAL_BAND = 0.05
@@ -76,33 +105,39 @@ class Lexicon:
         return cls(valences=valences)
 
 
-@dataclass
-class SentimentRecord:
-    """One dated text observation with its label and engagement counts."""
+@dataclass(eq=False)
+class SentimentTable:
+    """Sentiment rows as columns; see the module docstring."""
 
-    date: dt.date
-    asset_id: str
-    text: str
-    label: str
-    polarity: float
-    likes: int = 0
-    retweets: int = 0
-    comments: int = 0
+    assets: tuple[str, ...]
+    day: np.ndarray
+    asset: np.ndarray
+    text: list[str]
+    label: np.ndarray
+    polarity: np.ndarray
+    engagement: np.ndarray
+    line: np.ndarray
 
-    def __post_init__(self):
-        if self.label not in LABELS:
-            raise ValidationError(f"unknown label {self.label!r}")
-        sign_ok = (
-            (self.polarity > 0 and self.label == POSITIVE)
-            or (self.polarity < 0 and self.label == NEGATIVE)
-            or (self.polarity == 0 and self.label == NEUTRAL)
-        )
-        if not sign_ok:
-            raise ValidationError(
-                f"label {self.label} inconsistent with polarity {self.polarity}"
-            )
-        if min(self.likes, self.retweets, self.comments) < 0:
-            raise ValidationError("engagement counts must be non-negative")
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def rows_of(self, asset: str) -> np.ndarray:
+        """Indices of ``asset``'s rows, in file order."""
+        if asset not in self.assets:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(self.asset == self.assets.index(asset))
+
+    def csv_rows(self) -> Iterator[tuple]:
+        """The rows as COLUMNS fields: ISO dates, names for the codes, and
+        the ``repr`` of each polarity."""
+        days, day_index = np.unique(self.day, return_inverse=True)
+        iso = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
+        return zip(np.array(iso, dtype=object)[day_index],
+                   np.array(self.assets, dtype=object)[self.asset],
+                   self.text,
+                   np.array(LABELS, dtype=object)[self.label],
+                   map(repr, self.polarity.tolist()),
+                   *self.engagement.T.tolist())
 
 
 @dataclass
@@ -128,17 +163,18 @@ def tokenize(text: str) -> list[str]:
 
 def score_text(text: str, lexicon: Lexicon) -> float:
     """Raw valence sum with negation flips and intensifier scaling."""
+    negations, intensifiers, valences = lexicon.negations, lexicon.intensifiers, lexicon.valences
     total = 0.0
     flip = False
     scale = 1.0
     for tok in tokenize(text):
-        if tok in lexicon.negations:
+        if tok in negations:
             flip = True
             continue
-        if tok in lexicon.intensifiers:
-            scale *= lexicon.intensifiers[tok]
+        if tok in intensifiers:
+            scale *= intensifiers[tok]
             continue
-        valence = lexicon.valences.get(tok)
+        valence = valences.get(tok)
         if valence is not None:
             v = valence * scale
             if flip:
@@ -161,8 +197,11 @@ def label_text(text: str, lexicon: Lexicon) -> tuple[str, float]:
         raise ValidationError("empty lexicon")
     s = score_text(text, lexicon)
     polarity = s / math.sqrt(s * s + NORM)
-    polarity = max(-1.0, min(1.0, polarity))
-    if abs(polarity) < NEUTRAL_BAND:
+    # max(-1.0, min(1.0, polarity)) and abs(polarity) < NEUTRAL_BAND, without
+    # the builtin calls; the same result for every float, NaN included
+    polarity = polarity if polarity < 1.0 else 1.0
+    polarity = polarity if polarity > -1.0 else -1.0
+    if -NEUTRAL_BAND < polarity < NEUTRAL_BAND:
         return NEUTRAL, 0.0
     return (POSITIVE, polarity) if polarity > 0 else (NEGATIVE, polarity)
 
@@ -174,26 +213,14 @@ def sentiment_ratio(n_pos: int, n_neg: int) -> float:
     return (n_pos + 1) / (n_neg + 1)
 
 
-def aggregate_weekly(
-    records: list[SentimentRecord], window_start: dt.date
-) -> WeeklySentiment:
-    """Aggregate one asset's records over [window_start, window_start + 6d]."""
-    window_end = window_start + dt.timedelta(days=6)
-    asset_ids = {r.asset_id for r in records}
-    if len(asset_ids) > 1:
-        raise ValidationError(f"records span multiple assets: {sorted(asset_ids)}")
-    for r in records:
-        if not window_start <= r.date <= window_end:
-            raise ValidationError(f"record dated {r.date} outside window {window_start}")
-    asset_id = records[0].asset_id if records else ""
-    n_pos = sum(1 for r in records if r.label == POSITIVE)
-    n_neg = sum(1 for r in records if r.label == NEGATIVE)
-    n_neu = sum(1 for r in records if r.label == NEUTRAL)
-    pols = [r.polarity for r in records]
+def _window(asset: str, start: dt.date, counts: list[int], pols: list[float]) -> WeeklySentiment:
+    """Aggregate one week's label counts (Positive, Negative, Neutral) and
+    polarities, the latter in file order."""
+    n_pos, n_neg, n_neu = counts
     return WeeklySentiment(
-        asset_id=asset_id,
-        window_start=window_start,
-        n_total=len(records),
+        asset_id=asset,
+        window_start=start,
+        n_total=len(pols),
         n_pos=n_pos,
         n_neg=n_neg,
         n_neu=n_neu,
@@ -201,42 +228,60 @@ def aggregate_weekly(
         max_pol=max(pols) if pols else 0.0,
         median_pol=median(pols) if pols else 0.0,
         ratio=sentiment_ratio(n_pos, n_neg),
-        sufficient=len(records) >= MIN_WEEKLY_COUNT,
+        sufficient=len(pols) >= MIN_WEEKLY_COUNT,
     )
 
 
 def weekly_windows(
-    records: list[SentimentRecord], first_date: dt.date, last_date: dt.date
+    table: SentimentTable, asset: str, first_date: dt.date, last_date: dt.date
 ) -> list[WeeklySentiment]:
-    """Non-overlapping 7-day blocks anchored at first_date; the last block
-    starts on or before last_date and keeps its full seven days."""
+    """``asset``'s rows in non-overlapping 7-day blocks anchored at
+    first_date; the last block starts on or before last_date and keeps its
+    full seven days.  Rows outside the blocks are dropped."""
     n_weeks = max(0, (last_date - first_date).days // 7 + 1)
-    blocks: list[list[SentimentRecord]] = [[] for _ in range(n_weeks)]
-    for r in records:
-        week = (r.date - first_date).days // 7
-        if 0 <= week < n_weeks:
-            blocks[week].append(r)
-    return [aggregate_weekly(block, first_date + dt.timedelta(days=7 * k))
-            for k, block in enumerate(blocks)]
+    rows = table.rows_of(asset)
+    week = (table.day[rows] - first_date.toordinal()) // 7
+    keep = (week >= 0) & (week < n_weeks)
+    # a stable sort keeps each block's polarities in file order
+    order = np.argsort(week[keep], kind="stable")
+    rows, week = rows[keep][order], week[keep][order]
+    counts = np.bincount(3 * week + table.label[rows], minlength=3 * n_weeks)
+    counts = counts.reshape(n_weeks, 3).tolist()
+    bounds = np.searchsorted(week, np.arange(n_weeks + 1)).tolist()
+    pols = table.polarity[rows]
+    return [_window(asset, first_date + dt.timedelta(days=7 * k), counts[k],
+                    pols[bounds[k]:bounds[k + 1]].tolist())
+            for k in range(n_weeks)]
 
 
 def daily_features(
-    records: list[SentimentRecord], dates: list[dt.date]
+    table: SentimentTable, asset: str, dates: list[dt.date]
 ) -> dict[dt.date, dict[str, float]]:
-    """Per-date engagement totals and ratio, shaped for panel alignment."""
-    by_date: dict[dt.date, list[SentimentRecord]] = {}
-    for r in records:
-        by_date.setdefault(r.date, []).append(r)
+    """Per-date engagement totals and ratio of ``asset``'s rows, shaped for
+    panel alignment; a date without rows gets zero totals and ratio 1."""
+    if not dates:
+        return {}
+    rows = table.rows_of(asset)
+    days = np.unique([d.toordinal() for d in dates])
+    pos = np.searchsorted(days, table.day[rows])
+    hit = days.take(pos, mode="clip") == table.day[rows]
+    rows, pos = rows[hit], pos[hit]
+    counts = np.bincount(3 * pos + table.label[rows], minlength=3 * days.size)
+    counts = counts.reshape(days.size, 3).tolist()
+    # integer sums (np.bincount would add in float64), converted to float once
+    totals = np.zeros((days.size, 3), dtype=np.int64)
+    np.add.at(totals, pos, table.engagement[rows])
+    totals = totals.astype(float).tolist()
+    index = dict(zip(days.tolist(), range(days.size)))
     out: dict[dt.date, dict[str, float]] = {}
     for d in dates:
-        day = by_date.get(d, [])
-        n_pos = sum(1 for r in day if r.label == POSITIVE)
-        n_neg = sum(1 for r in day if r.label == NEGATIVE)
+        k = index[d.toordinal()]
+        likes, retweets, comments = totals[k]
         out[d] = {
-            "likes": float(sum(r.likes for r in day)),
-            "retweets": float(sum(r.retweets for r in day)),
-            "comments": float(sum(r.comments for r in day)),
-            "ratio": sentiment_ratio(n_pos, n_neg),
+            "likes": likes,
+            "retweets": retweets,
+            "comments": comments,
+            "ratio": sentiment_ratio(counts[k][0], counts[k][1]),
         }
     return out
 
@@ -265,42 +310,141 @@ def audit_labels(
     return matrix, correct / len(sample)
 
 
-def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> list[SentimentRecord]:
-    """Read sentiment rows; pre-labeled columns are trusted, else label_text runs.
+def _count(field: str) -> int:
+    """An engagement count: empty reads as 0, otherwise a finite integral
+    number such as ``12`` or ``12.0``."""
+    if not field:
+        return 0
+    try:
+        return int(field)
+    except ValueError:
+        value = float(field)
+        if not value.is_integer():
+            raise ValueError(f"count {field!r} is not a finite integer") from None
+        return int(value)
 
-    Columns: date, asset, text, label?, polarity?, likes, retweets, comments.
+
+def _validate(path: Path, table: SentimentTable, unknown_label: str | None) -> None:
+    """Raise a ParseError naming the first row with an unknown label, a
+    label that disagrees with the sign of its polarity, a polarity outside
+    [-1, 1], or a count that is negative or above MAX_COUNT."""
+    label, pol, counts = table.label, table.polarity, table.engagement
+    unknown = label == _UNKNOWN
+    coherent = np.where(label == 0, pol > 0, np.where(label == 1, pol < 0, pol == 0))
+    incoherent = ~coherent & ~unknown
+    out_of_range = ~(np.abs(pol) <= 1.0)
+    negative = (counts < 0).any(axis=1)
+    too_large = (counts > MAX_COUNT).any(axis=1)
+    bad = unknown | incoherent | out_of_range | negative | too_large
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if unknown[i]:
+        message = f"unknown label {unknown_label!r}"
+    elif incoherent[i]:
+        message = f"label {LABELS[label[i]]} inconsistent with polarity {float(pol[i])}"
+    elif out_of_range[i]:
+        message = f"polarity {float(pol[i])} outside [-1, 1]"
+    elif negative[i]:
+        message = "engagement counts must be non-negative"
+    else:
+        message = f"engagement count above {MAX_COUNT}"
+    raise ParseError(f"{path}:{table.line[i]}: {message}")
+
+
+def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> SentimentTable:
+    """Read sentiment rows into one SentimentTable in a single pass.
+
+    Columns (by header name, in any order): date, asset, and optionally
+    text, label, polarity, likes, retweets and comments; an absent count
+    column reads as 0.  A row with both label and polarity is taken as
+    labeled; label_text scores every other row, which needs ``lexicon``.
+    A row whose width differs from the header's, or any bad field, is a
+    ParseError that names the file line (the last line of a record that
+    spans several).
     """
     path = Path(path)
-    records = []
+    # per row: day, asset, likes, retweets, comments, line
+    ints, label, polarity = array("q"), array("b"), array("d")
+    text: list[str] = []
+    ordinal: dict[str, int] = {}  # date field -> day ordinal
+    code: dict[str, int] = {}  # asset field -> code
+    assets: dict[str, int] = {}  # stripped asset name -> code
+    unknown_label = None  # the first label outside LABELS
+
+    def table() -> SentimentTable:
+        n = len(polarity)  # appended last: rows read in full
+        columns = np.frombuffer(ints, dtype=np.int64)[:6 * n].reshape(n, 6)
+        return SentimentTable(
+            assets=tuple(assets),
+            day=columns[:, 0],
+            asset=columns[:, 1],
+            text=text,
+            label=np.frombuffer(label, dtype=np.int8),
+            polarity=np.frombuffer(polarity, dtype=np.float64),
+            engagement=columns[:, 2:5],
+            line=columns[:, 5],
+        )
+
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"date", "asset"}.issubset(reader.fieldnames):
-            raise ParseError(f"{path}: header must contain date and asset")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                date = dt.date.fromisoformat(row["date"].strip())
-                text = row.get("text") or ""
-                if row.get("label") and row.get("polarity") not in (None, ""):
-                    label = row["label"].strip()
-                    polarity = float(row["polarity"])
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header is None or not {"date", "asset"}.issubset(header):
+                raise ParseError(f"{path}: header must contain date and asset")
+            column = {name: i for i, name in enumerate(header)}
+            width = len(header)
+            i_date, i_asset = column["date"], column["asset"]
+            i_text, i_label, i_pol = (column.get(c) for c in ("text", "label", "polarity"))
+            i_counts = [column.get(c) for c in ENGAGEMENT]
+            if None in i_counts:
+                def counts_of(row):
+                    return tuple("" if i is None else row[i] for i in i_counts)
+            else:
+                counts_of = itemgetter(*i_counts)
+            for row in reader:
+                if len(row) != width:
+                    if not row:
+                        continue
+                    raise ValueError(f"{len(row)} fields, expected {width}")
+                try:
+                    d = ordinal[row[i_date]]
+                except KeyError:
+                    d = dt.date.fromisoformat(row[i_date].strip()).toordinal()
+                    ordinal[row[i_date]] = d
+                t = "" if i_text is None else row[i_text]
+                if (i_label is not None and row[i_label]
+                        and i_pol is not None and row[i_pol]):
+                    name = row[i_label].strip()
+                    p = float(row[i_pol])
+                    c = _LABEL_CODES.get(name, _UNKNOWN)
+                    if c == _UNKNOWN and unknown_label is None:
+                        unknown_label = name
+                elif lexicon is None:
+                    raise ValueError("unlabeled row and no lexicon supplied")
                 else:
-                    if lexicon is None:
-                        raise ParseError(
-                            f"{path}:{lineno}: unlabeled row and no lexicon supplied"
-                        )
-                    label, polarity = label_text(text, lexicon)
-                records.append(
-                    SentimentRecord(
-                        date=date,
-                        asset_id=row["asset"].strip(),
-                        text=text,
-                        label=label,
-                        polarity=polarity,
-                        likes=int(float(row.get("likes") or 0)),
-                        retweets=int(float(row.get("retweets") or 0)),
-                        comments=int(float(row.get("comments") or 0)),
-                    )
-                )
-            except (ValueError, ValidationError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return records
+                    name, p = label_text(t, lexicon)
+                    c = _LABEL_CODES[name]
+                try:
+                    a = code[row[i_asset]]
+                except KeyError:
+                    a = assets.setdefault(row[i_asset].strip(), len(assets))
+                    code[row[i_asset]] = a
+                likes, retweets, comments = counts_of(row)
+                try:
+                    likes, retweets, comments = int(likes), int(retweets), int(comments)
+                except ValueError:
+                    likes, retweets, comments = _count(likes), _count(retweets), _count(comments)
+                ints.extend((d, a, likes, retweets, comments, reader.line_num))
+                text.append(t)
+                label.append(c)
+                polarity.append(p)
+        except (ValueError, OverflowError, ValidationError, csv.Error) as exc:
+            # an earlier row may already be invalid: name the first bad row
+            _validate(path, table(), unknown_label)
+            message = (f"engagement count above {MAX_COUNT}"  # a count beyond int64
+                       if isinstance(exc, OverflowError) else exc)
+            raise ParseError(f"{path}:{reader.line_num}: {message}") from exc
+    result = table()
+    _validate(path, result, unknown_label)
+    return result

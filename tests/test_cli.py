@@ -1,6 +1,11 @@
+import contextlib
+import datetime as dt
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentfolio.cli import REPORT_HEADER, load_config, main, read_panel
 from sentfolio.synthetic import write_market_csv
@@ -253,6 +258,30 @@ def _config_edit(old, new):
     return lambda root: _edit(root / "config.yaml", old, new)
 
 
+def _sentiment_field(lineno, index, value, ingest_first=False):
+    """Set field ``index`` of line ``lineno`` of the (unquoted) sentiment CSV."""
+    def corrupt(root):
+        if ingest_first:
+            _ingested(root)
+        path = root / "data" / "sentiment.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[lineno - 1].rstrip("\n").split(",")
+        fields[index] = value
+        lines[lineno - 1] = ",".join(fields) + "\n"
+        path.write_text("".join(lines))
+    return corrupt
+
+
+def _sentiment_lines(lineno, *new_lines):
+    """Replace line ``lineno`` of the sentiment CSV with ``new_lines``."""
+    def corrupt(root):
+        path = root / "data" / "sentiment.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[lineno - 1:lineno] = [ln + "\n" for ln in new_lines]
+        path.write_text("".join(lines))
+    return corrupt
+
+
 MONTE_CARLO = "monte_carlo:\n  count: 300\n  seed: 0\n"
 
 BAD_INPUTS = {
@@ -303,6 +332,21 @@ BAD_INPUTS = {
         "audit", lambda root: (root / "audit.csv").write_text("label\nPositive\n"), "text"),
     "audit file without label": (
         "audit", lambda root: (root / "audit.csv").write_text("text\ngood\n"), "label"),
+    "short sentiment row": (
+        "ingest", _sentiment_lines(3, "2015-01-02"), "sentiment.csv:3: 1 fields, expected 8"),
+    "infinite engagement count": (
+        "label", _sentiment_field(3, 5, "inf"), "sentiment.csv:3: count 'inf' is not a finite"),
+    "fractional engagement count": (
+        "ingest", _sentiment_field(4, 7, "2.7"), "sentiment.csv:4: count '2.7' is not a finite"),
+    "infinite polarity": (
+        "analyze", _sentiment_field(3, 4, "inf", ingest_first=True),
+        "sentiment.csv:3: polarity inf outside [-1, 1]"),
+    "polarity above 1": (
+        "ingest", _sentiment_field(5, 4, "5"), "sentiment.csv:5: polarity 5.0 outside [-1, 1]"),
+    "error after a multi-line record": (
+        "ingest", _sentiment_lines(2, '2015-01-02,AAA,"spans\nthree\nlines",Positive,0.5,1,2,3',
+                                   "2015-13-02,AAA,,Positive,0.5,0,0,0"),
+        "sentiment.csv:5: month must be in 1..12"),
 }
 
 
@@ -340,3 +384,66 @@ def test_analyze_writes_nan_granger_rows_for_constant_ratio(tmp_path):
     for asset, _, f_stat, _, _, p, significant in rows:
         assert (f_stat == "nan" and p == "nan") == (asset == "CCC")
         assert asset != "CCC" or significant == "0"
+
+
+# -- exit-code contract for the sentiment file ------------------------------
+
+def _small_sentiment_rows():
+    """Labeled and unlabeled rows for three assets, one every third day."""
+    texts = ["good day", "not bad", "awful open", "", "very great", "flat"]
+    rows = []
+    for k in range(0, 90, 3):
+        date = (dt.date(2015, 1, 2) + dt.timedelta(days=k)).isoformat()
+        for a, asset in enumerate(("AAA", "BBB", "CCC")):
+            label, pol = [("Positive", "0.5"), ("Negative", "-0.25"), ("", "")][(k + a) % 3]
+            rows.append([date, asset, texts[(k + a) % 6], label, pol, str(k), "1", ""])
+    return rows
+
+
+SMALL_SENTIMENT = _small_sentiment_rows()
+HEADER = "date,asset,text,label,polarity,likes,retweets,comments"
+FIELD_VALUES = ["2015-13-02", "yesterday", "", "nan", "inf", "-inf", "-3", "2.5", "1e400",
+                "Bullish", "Neutral", "5", "-1.5", "0", "ZZZ"]
+MUTATIONS = st.one_of(
+    st.just(("drop", None)),
+    st.just(("add", "x")),
+    st.tuples(st.just("set"), st.sampled_from(FIELD_VALUES)),
+    st.tuples(st.just("quote"), st.integers(0, 3)),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = populate(tmp_path_factory.mktemp("fuzz"), THREE_ASSETS)
+    (root / "data" / "sentiment.csv").write_text(
+        "\n".join([HEADER] + [",".join(r) for r in SMALL_SENTIMENT]) + "\n")
+    assert run(root, "ingest") == 0
+    return root
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(0, len(SMALL_SENTIMENT) - 1), field=st.integers(0, 7),
+       mutation=MUTATIONS)
+def test_sentiment_mutation_exits_0_or_2_with_one_error_line(fuzz_root, row, field, mutation):
+    kind, value = mutation
+    fields = list(SMALL_SENTIMENT[row])
+    if kind == "drop":
+        del fields[field]
+    elif kind == "add":
+        fields.insert(field, value)
+    elif kind == "set":
+        fields[field] = value
+    else:
+        fields[field] = fields[field][:value] + '"' + fields[field][value:]
+    rows = [",".join(fields) if i == row else ",".join(r) for i, r in enumerate(SMALL_SENTIMENT)]
+    (fuzz_root / "data" / "sentiment.csv").write_text("\n".join([HEADER] + rows) + "\n")
+    for command in ("ingest", "label", "analyze"):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(fuzz_root, command)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2), (command, lines)
+        assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+        assert not caught, (command, [str(w.message) for w in caught])

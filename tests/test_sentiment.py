@@ -1,28 +1,65 @@
+import csv
 import datetime as dt
+import math
+import re
+from dataclasses import dataclass
+from statistics import median
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sentfolio.errors import ValidationError
+from sentfolio.errors import ParseError, ValidationError
 from sentfolio.sentiment import (
     LABELS,
+    MIN_WEEKLY_COUNT,
     Lexicon,
-    SentimentRecord,
-    aggregate_weekly,
+    SentimentTable,
     audit_labels,
     daily_features,
     label_text,
+    load_sentiment_csv,
     sentiment_ratio,
     weekly_windows,
 )
 
 D0 = dt.date(2020, 3, 2)
+HEADER = ["date", "asset", "text", "label", "polarity", "likes", "retweets", "comments"]
 
 
-def rec(offset, label, polarity, asset="A", **kw):
-    return SentimentRecord(date=D0 + dt.timedelta(days=offset), asset_id=asset,
-                           text="", label=label, polarity=polarity, **kw)
+def rec(offset, label, polarity, asset="A", likes=0):
+    return (offset, label, polarity, asset, likes)
+
+
+def table(records):
+    """A SentimentTable of ``rec`` rows, built directly from columns."""
+    assets = tuple(dict.fromkeys(r[3] for r in records))
+    n = len(records)
+    return SentimentTable(
+        assets=assets,
+        day=np.array([(D0 + dt.timedelta(days=r[0])).toordinal() for r in records],
+                     dtype=np.int64),
+        asset=np.array([assets.index(r[3]) for r in records], dtype=np.int64),
+        text=[""] * n,
+        label=np.array([LABELS.index(r[1]) for r in records], dtype=np.int8),
+        polarity=np.array([r[2] for r in records], dtype=np.float64),
+        engagement=np.array([[r[4], 0, 0] for r in records], dtype=np.int64).reshape(n, 3),
+        line=np.arange(2, n + 2, dtype=np.int64),
+    )
+
+
+def week(records, start=D0):
+    """The one weekly window of asset A starting at ``start``."""
+    (w,) = weekly_windows(table(records), "A", start, start)
+    return w
+
+
+def write_rows(path, rows, header=HEADER):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 class TestLabelText:
@@ -49,11 +86,13 @@ class TestLabelText:
         _, pol = label_text("great " * 100, lexicon)
         assert -1.0 <= pol <= 1.0
 
-    def test_label_sign_coherence(self, lexicon):
-        for text in ("good", "bad", "not bad", "awful awful", "", "very great"):
-            label, pol = label_text(text, lexicon)
-            record = rec(0, label, pol)  # would raise on incoherence
-            assert record.label == label
+    def test_label_sign_coherence(self, lexicon, tmp_path):
+        texts = ("good", "bad", "not bad", "awful awful", "", "very great")
+        labeled = [label_text(text, lexicon) for text in texts]
+        path = write_rows(tmp_path / "s.csv", [["2020-03-02", "A", "", label, repr(pol)]
+                                               for label, pol in labeled], HEADER[:5])
+        loaded = load_sentiment_csv(path)  # would raise on incoherence
+        assert [LABELS[c] for c in loaded.label] == [label for label, _ in labeled]
 
 
 class TestSentimentRatio:
@@ -74,33 +113,30 @@ class TestSentimentRatio:
 
 class TestAggregateWeekly:
     def test_empty_window(self):
-        w = aggregate_weekly([], D0)
+        w = week([])
         assert w.n_total == 0
         assert (w.mean_pol, w.max_pol, w.median_pol) == (0.0, 0.0, 0.0)
         assert w.ratio == 1.0
         assert not w.sufficient
 
     def test_uniform_positive_window(self):
-        records = [rec(i % 7, "Positive", 0.5) for i in range(30)]
-        w = aggregate_weekly(records, D0)
+        w = week([rec(i % 7, "Positive", 0.5) for i in range(30)])
         assert w.n_pos == 30 and w.n_total == 30
         assert w.mean_pol == pytest.approx(0.5)
         assert w.sufficient
 
     def test_mixed_polarities(self):
-        records = [rec(0, "Positive", 0.2), rec(1, "Negative", -0.4), rec(2, "Positive", 0.6)]
-        w = aggregate_weekly(records, D0)
+        w = week([rec(0, "Positive", 0.2), rec(1, "Negative", -0.4), rec(2, "Positive", 0.6)])
         assert w.mean_pol == pytest.approx(0.4 / 3)
         assert w.max_pol == 0.6
         assert w.median_pol == 0.2
 
     def test_out_of_window_record(self):
-        with pytest.raises(ValidationError):
-            aggregate_weekly([rec(7, "Neutral", 0.0)], D0)
+        w = week([rec(7, "Neutral", 0.0), rec(-1, "Positive", 0.5), rec(3, "Negative", -0.5)])
+        assert (w.n_total, w.n_neg) == (1, 1)
 
     def test_count_partition(self):
-        records = [rec(0, "Positive", 0.3), rec(1, "Negative", -0.1), rec(2, "Neutral", 0.0)]
-        w = aggregate_weekly(records, D0)
+        w = week([rec(0, "Positive", 0.3), rec(1, "Negative", -0.1), rec(2, "Neutral", 0.0)])
         assert w.n_total == w.n_pos + w.n_neg + w.n_neu
 
     @given(st.permutations(list(range(6))))
@@ -108,9 +144,7 @@ class TestAggregateWeekly:
         pols = [0.2, -0.4, 0.6, 0.0, 0.1, -0.9]
         labels = ["Positive", "Negative", "Positive", "Neutral", "Positive", "Negative"]
         records = [rec(i, labels[i], pols[i]) for i in range(6)]
-        base = aggregate_weekly(records, D0)
-        shuffled = aggregate_weekly([records[i] for i in order], D0)
-        assert shuffled == base
+        assert week([records[i] for i in order]) == week(records)
 
 
 class TestWeeklyWindows:
@@ -121,36 +155,56 @@ class TestWeeklyWindows:
         records = [rec(d, labels[k % 3], (0.1, -0.1, 0.0)[k % 3], likes=k)
                    for k, d in enumerate(offsets)]
         last = D0 + dt.timedelta(days=15)
-        got = weekly_windows(records, D0, last)
+        got = weekly_windows(table(records), "A", D0, last)
+        refs = [reference_record(r) for r in records]
         expected = []
         start = D0
         while start <= last:
             end = start + dt.timedelta(days=6)
-            block = [r for r in records if start <= r.date <= end]
-            expected.append(aggregate_weekly(block, start))
+            expected.append(reference_aggregate_weekly(
+                [r for r in refs if start <= r.date <= end], start))
             start = end + dt.timedelta(days=1)
-        assert got == expected
+        assert_windows_bits(got, expected)
         assert [w.n_total for w in got] == [4, 2, 3]  # -1 and 21 are dropped
 
+    def test_signed_zeros_keep_file_order(self):
+        # max and median return the first of equal values: -0.0 here
+        records = [rec(2, "Neutral", -0.0), rec(0, "Neutral", 0.0), rec(1, "Negative", -0.5)]
+        got = weekly_windows(table(records), "A", D0, D0)
+        assert_windows_bits(got, [reference_aggregate_weekly(
+            [reference_record(r) for r in records], D0)])
+        assert math.copysign(1.0, got[0].max_pol) == -1.0
+
     def test_empty_span(self):
-        assert weekly_windows([rec(0, "Neutral", 0.0)], D0, D0 - dt.timedelta(days=1)) == []
+        assert weekly_windows(table([rec(0, "Neutral", 0.0)]), "A", D0,
+                              D0 - dt.timedelta(days=1)) == []
+
+    def test_other_assets_and_unknown_asset(self):
+        records = [rec(0, "Positive", 0.5), rec(1, "Negative", -0.5, asset="B")]
+        assert [w.n_total for w in weekly_windows(table(records), "B", D0, D0)] == [1]
+        assert [w.n_total for w in weekly_windows(table(records), "Z", D0, D0)] == [0]
 
 
 class TestDailyRatio:
     def test_two_pos_one_neg(self):
         records = [rec(0, "Positive", 0.5), rec(0, "Positive", 0.2), rec(0, "Negative", -0.1)]
-        assert daily_features(records, [D0])[D0]["ratio"] == 1.5
+        assert daily_features(table(records), "A", [D0])[D0]["ratio"] == 1.5
 
     def test_no_records_default(self):
-        assert daily_features([], [D0]) == {
+        assert daily_features(table([]), "A", [D0]) == {
             D0: {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.0}
         }
 
     def test_all_negative_day(self):
         records = [rec(0, "Negative", -0.5, likes=3) for _ in range(4)]
-        day = daily_features(records, [D0])[D0]
+        day = daily_features(table(records), "A", [D0])[D0]
         assert day["ratio"] == 0.2
         assert day["likes"] == 12.0
+
+    def test_repeated_date_keeps_its_totals(self):
+        records = [rec(0, "Positive", 0.5, likes=2), rec(0, "Positive", 0.5, asset="B")]
+        day = daily_features(table(records), "A", [D0, D0])[D0]
+        assert (day["likes"], day["ratio"]) == (2.0, 2.0)
 
 
 class TestAuditLabels:
@@ -190,10 +244,257 @@ class TestLexicon:
         assert lex.valences == {"good": 0.5, "bad": -0.5}
 
 
-class TestSentimentRecord:
-    def test_incoherent_label_rejected(self):
-        with pytest.raises(ValidationError):
-            SentimentRecord(date=D0, asset_id="A", text="", label="Positive", polarity=-0.2)
+GOOD_ROW = ["2020-03-02", "A", "fine", "Positive", "0.5", "1", "2", "3"]
+
+
+def row_with(**fields):
+    return [fields.get(name, value) for name, value in zip(HEADER, GOOD_ROW)]
+
+
+class TestRowValidation:
+    def test_incoherent_label_rejected(self, tmp_path):
+        path = write_rows(tmp_path / "s.csv", [row_with(polarity="-0.2")])
+        with pytest.raises(ParseError, match=r"s\.csv:2: label Positive inconsistent"):
+            load_sentiment_csv(path)
 
     def test_labels_enumerated(self):
         assert set(LABELS) == {"Positive", "Negative", "Neutral"}
+
+    @pytest.mark.parametrize("bad, message", [
+        (["2020-03-02"], "1 fields, expected 8"),
+        (GOOD_ROW + ["extra"], "9 fields, expected 8"),
+        (row_with(date="2020-13-02"), "month must be in 1..12"),
+        (row_with(label="Bullish"), "unknown label 'Bullish'"),
+        (row_with(polarity="inf"), "polarity inf outside [-1, 1]"),
+        (row_with(polarity="5"), "polarity 5.0 outside [-1, 1]"),
+        (row_with(polarity="nan"), "label Positive inconsistent with polarity nan"),
+        (row_with(likes="inf"), "count 'inf' is not a finite integer"),
+        (row_with(likes="1e400"), "count '1e400' is not a finite integer"),
+        (row_with(retweets="2.7"), "count '2.7' is not a finite integer"),
+        (row_with(comments="many"), "could not convert string to float: 'many'"),
+        (row_with(comments="-4"), "engagement counts must be non-negative"),
+        (row_with(likes=str(2**53 + 1)), f"engagement count above {2**53}"),
+        (row_with(likes="1e300"), f"engagement count above {2**53}"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, bad, message):
+        path = write_rows(tmp_path / "s.csv", [GOOD_ROW, bad, GOOD_ROW])
+        with pytest.raises(ParseError) as info:
+            load_sentiment_csv(path)
+        assert str(info.value) == f"{path}:3: {message}"
+
+    @pytest.mark.parametrize("value, count", [("12", 12), ("12.0", 12), ("", 0), (" 7 ", 7)])
+    def test_integral_counts_accepted(self, tmp_path, value, count):
+        path = write_rows(tmp_path / "s.csv", [row_with(likes=value)])
+        assert load_sentiment_csv(path).engagement.tolist() == [[count, 2, 3]]
+
+    def test_line_numbers_count_file_lines(self, tmp_path):
+        path = write_rows(tmp_path / "s.csv", [row_with(text="spans\nthree\nlines"),
+                                               row_with(date="2020-13-02")])
+        with pytest.raises(ParseError, match=r"s\.csv:5: month must be in 1\.\.12"):
+            load_sentiment_csv(path)
+
+    def test_first_bad_row_is_named(self, tmp_path):
+        # the label check runs after the pass, the date parse during it
+        path = write_rows(tmp_path / "s.csv", [GOOD_ROW, row_with(label="Bullish"),
+                                               row_with(date="someday")])
+        with pytest.raises(ParseError, match=r"s\.csv:3: unknown label"):
+            load_sentiment_csv(path)
+
+    def test_unlabeled_row_needs_lexicon(self, tmp_path):
+        path = write_rows(tmp_path / "s.csv", [row_with(label="")])
+        with pytest.raises(ParseError, match="s.csv:2: unlabeled row and no lexicon"):
+            load_sentiment_csv(path)
+
+    def test_header_must_name_date_and_asset(self, tmp_path):
+        path = write_rows(tmp_path / "s.csv", [GOOD_ROW], ["day"] + HEADER[1:])
+        with pytest.raises(ParseError, match="header must contain date and asset"):
+            load_sentiment_csv(path)
+
+
+# -- reference: the per-record loader, scorer and aggregates -----------------
+# The table and its aggregates must match these bit for bit.
+
+_TOKEN_RE = re.compile(r"[a-z0-9']+")
+
+
+@dataclass
+class Record:
+    date: dt.date
+    asset_id: str
+    text: str
+    label: str
+    polarity: float
+    likes: int = 0
+    retweets: int = 0
+    comments: int = 0
+
+
+def reference_label_text(text, lexicon):
+    total, flip, scale = 0.0, False, 1.0
+    for tok in _TOKEN_RE.findall(text.lower()):
+        if tok in lexicon.negations:
+            flip = True
+            continue
+        if tok in lexicon.intensifiers:
+            scale *= lexicon.intensifiers[tok]
+            continue
+        valence = lexicon.valences.get(tok)
+        if valence is not None:
+            v = valence * scale
+            total += -v if flip else v
+        flip, scale = False, 1.0
+    polarity = max(-1.0, min(1.0, total / math.sqrt(total * total + 15.0)))
+    if abs(polarity) < 0.05:
+        return "Neutral", 0.0
+    return ("Positive", polarity) if polarity > 0 else ("Negative", polarity)
+
+
+def reference_load(path, lexicon):
+    records = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            text = row.get("text") or ""
+            if row.get("label") and row.get("polarity") not in (None, ""):
+                label, polarity = row["label"].strip(), float(row["polarity"])
+            else:
+                label, polarity = reference_label_text(text, lexicon)
+            counts = [int(float(row.get(k) or 0)) for k in ("likes", "retweets", "comments")]
+            records.append(Record(dt.date.fromisoformat(row["date"].strip()),
+                                  row["asset"].strip(), text, label, polarity, *counts))
+    return records
+
+
+def reference_record(r):
+    return Record(D0 + dt.timedelta(days=r[0]), r[3], "", r[1], r[2], r[4])
+
+
+def reference_aggregate_weekly(records, start):
+    pols = [r.polarity for r in records]
+    n_pos = sum(1 for r in records if r.label == "Positive")
+    n_neg = sum(1 for r in records if r.label == "Negative")
+    return (start, len(records), n_pos, n_neg, len(records) - n_pos - n_neg,
+            math.fsum(pols) / len(pols) if pols else 0.0,
+            max(pols) if pols else 0.0,
+            median(pols) if pols else 0.0,
+            (n_pos + 1) / (n_neg + 1),
+            len(records) >= MIN_WEEKLY_COUNT)
+
+
+def reference_weekly_windows(records, first, last):
+    n_weeks = max(0, (last - first).days // 7 + 1)
+    blocks = [[] for _ in range(n_weeks)]
+    for r in records:
+        k = (r.date - first).days // 7
+        if 0 <= k < n_weeks:
+            blocks[k].append(r)
+    return [reference_aggregate_weekly(b, first + dt.timedelta(days=7 * k))
+            for k, b in enumerate(blocks)]
+
+
+def reference_daily_features(records, dates):
+    out = {}
+    for d in dates:
+        day = [r for r in records if r.date == d]
+        n_pos = sum(1 for r in day if r.label == "Positive")
+        n_neg = sum(1 for r in day if r.label == "Negative")
+        out[d] = [float(sum(r.likes for r in day)), float(sum(r.retweets for r in day)),
+                  float(sum(r.comments for r in day)), (n_pos + 1) / (n_neg + 1)]
+    return out
+
+
+def assert_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def float_rows(rows):
+    return np.array(list(rows), dtype=np.float64).reshape(-1, 4)
+
+
+def assert_windows_bits(windows, expected):
+    got = [(w.window_start, w.n_total, w.n_pos, w.n_neg, w.n_neu) for w in windows]
+    assert got == [e[:5] for e in expected]
+    assert [w.sufficient for w in windows] == [e[9] for e in expected]
+    assert_bits(float_rows([w.mean_pol, w.max_pol, w.median_pol, w.ratio] for w in windows),
+                float_rows(e[5:9] for e in expected))
+
+
+ORACLE_LEXICON = Lexicon(valences={"good": 0.5, "great": 0.8, "bad": -0.5, "awful": -0.8})
+TOKENS = ["good", "great", "bad", "awful", "not", "very", "slightly", "shares",
+          "up, again", "down\nhard", '"quoted"', "it's", "GOOD"]
+texts = st.lists(st.sampled_from(TOKENS), max_size=6).map(" ".join)
+labels = st.one_of(
+    st.just(("", "")),
+    st.just(("Positive", "")),
+    st.sampled_from([("Neutral", "0.0"), ("Neutral", "-0.0"), (" Neutral ", "0")]),
+    st.floats(0.0, 1.0, exclude_min=True).map(lambda p: ("Positive", repr(p))),
+    st.floats(-1.0, 0.0, exclude_max=True).map(lambda p: ("Negative", repr(p))),
+)
+counts = st.one_of(st.integers(0, 10**12).map(str),
+                   st.integers(0, 999).map(lambda n: f"{n}.0"), st.just(""))
+rows = st.tuples(st.integers(-10, 40), st.sampled_from(["A", "B", " C "]), texts,
+                 labels, counts, counts, counts)
+
+
+class TestTableOracle:
+    """load_sentiment_csv, daily_features and weekly_windows against the
+    per-record reference on generated files: labeled and unlabeled rows,
+    quoted commas and newlines, several assets, rows outside the panel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(rows, max_size=40),
+           st.lists(st.integers(0, 30), unique=True),
+           st.integers(-3, 10), st.integers(-8, 40))
+    def test_matches_reference(self, tmp_path_factory, generated, day_offsets,
+                               first_offset, span):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        write_rows(path, [[(D0 + dt.timedelta(days=d)).isoformat(), asset, text,
+                           label, pol, likes, retweets, comments]
+                          for d, asset, text, (label, pol), likes, retweets, comments
+                          in generated])
+        loaded = load_sentiment_csv(path, ORACLE_LEXICON)
+        refs = reference_load(path, ORACLE_LEXICON)
+
+        assert len(loaded) == len(refs)
+        assert_bits(loaded.day, np.array([r.date.toordinal() for r in refs], dtype=np.int64))
+        assert [loaded.assets[c] for c in loaded.asset] == [r.asset_id for r in refs]
+        assert loaded.text == [r.text for r in refs]
+        assert_bits(loaded.label, np.array([LABELS.index(r.label) for r in refs], dtype=np.int8))
+        assert_bits(loaded.polarity, np.array([r.polarity for r in refs], dtype=np.float64))
+        assert_bits(loaded.engagement, np.array(
+            [[r.likes, r.retweets, r.comments] for r in refs], dtype=np.int64).reshape(-1, 3))
+        # the fields of labeled.csv
+        assert list(loaded.csv_rows()) == [
+            (r.date.isoformat(), r.asset_id, r.text, r.label, repr(r.polarity),
+             r.likes, r.retweets, r.comments) for r in refs]
+
+        dates = [D0 + dt.timedelta(days=d) for d in sorted(day_offsets)]
+        first = D0 + dt.timedelta(days=first_offset)
+        last = first + dt.timedelta(days=span)
+        for asset in ("A", "B", "C"):
+            own = [r for r in refs if r.asset_id == asset]
+            daily = daily_features(loaded, asset, dates)
+            expected = reference_daily_features(own, dates)
+            assert list(daily) == list(expected)
+            assert_bits(float_rows([f["likes"], f["retweets"], f["comments"], f["ratio"]]
+                                   for f in daily.values()),
+                        float_rows(expected.values()))
+            assert_windows_bits(weekly_windows(loaded, asset, first, last),
+                                reference_weekly_windows(own, first, last))
+
+    @given(st.lists(st.sampled_from(TOKENS + ["extremely", "barely", "no"]), max_size=12))
+    def test_label_text_matches_reference(self, tokens):
+        text = " ".join(tokens)
+        name, pol = label_text(text, ORACLE_LEXICON)
+        ref_name, ref_pol = reference_label_text(text, ORACLE_LEXICON)
+        assert name == ref_name
+        assert_bits(pol, ref_pol)
+
+    @pytest.mark.parametrize("text", ["very " * 2000 + "great", "very " * 2000 + "not awful",
+                                      "great " * 10**4, "awful " * 10**4])
+    def test_label_text_extremes_match_reference(self, text):
+        name, pol = label_text(text, ORACLE_LEXICON)
+        ref_name, ref_pol = reference_label_text(text, ORACLE_LEXICON)
+        assert name == ref_name
+        assert_bits(pol, ref_pol)
