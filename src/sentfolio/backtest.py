@@ -1,6 +1,18 @@
 """Wealth simulation under a per-date weight stream and the five performance
 metrics reported per strategy: final capital, fAPV, BV, Sharpe-vs-benchmark,
-maximum drawdown and annualized return."""
+maximum drawdown and annualized return.
+
+Where the definitions come from:
+
+* fAPV and MDD follow Jiang, Xu & Liang 2017 (arXiv:1706.10059).  MDD is the
+  largest peak-to-trough loss, as in Magdon-Ismail & Atiya 2004 ("Maximum
+  drawdown", *Risk*).
+* BV and SR are the source paper's (arXiv:2203.05673) benchmark-relative
+  columns, both measured against Buy-and-Hold.  The formulas in
+  ``benchmark_value`` and ``sharpe_vs_bh`` are this package's reading of
+  them, fixed by acceptance criterion 5: both are exactly 1 for Buy-and-Hold
+  against itself.
+"""
 
 from __future__ import annotations
 
@@ -107,14 +119,13 @@ def sharpe_vs_bh(strategy_returns, bh_returns) -> float:
 
 
 def max_drawdown(curve: WealthCurve) -> float:
-    """Largest relative drop from any interior point to the terminal value,
-    floored at 0: max over t < T of (V_t - V_T) / V_t."""
-    v = curve.values
-    if len(v) < 2:
+    """Largest peak-to-trough loss (Jiang, Xu & Liang 2017): max over t of
+    (P_t - V_t) / P_t, where P_t is the running peak max over s <= t of V_s."""
+    v = np.asarray(curve.values, dtype=float)
+    if v.size < 2:
         raise InsufficientDataError("curve needs at least 2 points")
-    final = v[-1]
-    worst = max((x - final) / x for x in v[:-1])
-    return max(0.0, worst)
+    peak = np.maximum.accumulate(v)
+    return float(np.max((peak - v) / peak))
 
 
 def annualized_return(

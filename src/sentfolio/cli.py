@@ -526,8 +526,9 @@ def cmd_frontier(cfg: RunConfig) -> int:
     train_panel, _, _ = split_chronological(panel, cfg.split)
     prices = train_panel.price_matrix()
     moments = estimate_moments(prices[1:] / prices[:-1] - 1.0)
-    _, exp_ret, vol, sharpe = frontier_samples(moments, cfg.mc_count, cfg.mc_seed)
-    best = mean_variance_select(moments, cfg.mc_count, cfg.mc_seed)
+    _, vol, rows = frontier_samples(moments, cfg.mc_count, cfg.mc_seed)
+    ((exp_ret, sharpe),) = rows
+    (best,) = mean_variance_select(moments, cfg.mc_count, cfg.mc_seed)
     path = cfg.out_dir / "frontier.csv"
     _write_csv(path, cfg, ["exp_return", "volatility", "sharpe"],
                [[repr(float(r)), repr(float(v)), repr(float(s))]

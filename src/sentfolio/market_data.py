@@ -128,8 +128,9 @@ class AlignedPanel:
 def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     """Parse one per-asset CSV with columns date, adj_close, volume.
 
-    Rows are sorted by date; duplicate dates and non-positive prices are
-    rejected with the offending line named.
+    Rows are sorted by date; blank lines are skipped.  A row whose width
+    differs from the header's, a malformed field or a non-positive price is
+    rejected with its file line named; a duplicate date is rejected too.
     """
     path = Path(path)
     if not path.exists():
@@ -137,21 +138,29 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     asset = asset_id or path.stem
     rows: list[tuple[dt.date, float, float]] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         required = {"date", "adj_close", "volume"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if header is None or not required.issubset(header):
             raise ParseError(f"{path}: header must contain {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        column = {name: i for i, name in enumerate(header)}
+        i_date, i_price, i_volume = column["date"], column["adj_close"], column["volume"]
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"  # the file line, blank lines counted
+            if len(row) != len(header):
+                raise ParseError(f"{where}: {len(row)} fields, expected {len(header)}")
             try:
-                date = dt.date.fromisoformat(row["date"].strip())
-                price = float(row["adj_close"])
-                volume = float(row["volume"])
-            except (ValueError, AttributeError) as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
+                date = dt.date.fromisoformat(row[i_date].strip())
+                price = float(row[i_price])
+                volume = float(row[i_volume])
+            except ValueError as exc:
+                raise ParseError(f"{where}: malformed row ({exc})") from exc
             if not price > 0:
-                raise ValidationError(f"{path}:{lineno}: non-positive adj_close {price}")
+                raise ValidationError(f"{where}: non-positive adj_close {price}")
             if not (math.isfinite(volume) and volume >= 0):
-                raise ValidationError(f"{path}:{lineno}: non-finite or negative volume {volume}")
+                raise ValidationError(f"{where}: non-finite or negative volume {volume}")
             rows.append((date, price, volume))
     rows.sort(key=lambda r: r[0])
     for i in range(1, len(rows)):

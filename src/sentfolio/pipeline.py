@@ -93,23 +93,29 @@ def predict_test_segment(
     return preds  # row k predicts the price on test row k
 
 
-def _predictive_curve(
-    model: LstmModel,
-    panel: AlignedPanel,
+def _predictive_curves(
+    eval_panel: AlignedPanel,
+    models: dict[str, tuple[LstmModel, AlignedPanel]],
     test_start: int,
     mc_count: int,
     mc_seed: int,
     cov_window: int,
     initial_capital: float,
-) -> WealthCurve:
-    prices_full = panel.price_matrix()
+) -> dict[str, WealthCurve]:
+    """One wealth curve per LSTM variant, ``models[name] = (model, the panel
+    it reads)``.  The variants share prices, so the returns, last closes and
+    trailing windows are built once, and every variant's daily selection
+    runs on the same Monte-Carlo draws."""
+    prices_full = eval_panel.price_matrix()
     simple_full = prices_full[1:] / prices_full[:-1] - 1.0
-    preds = predict_test_segment(model, panel, test_start)
     test_prices = prices_full[test_start:]
     m = test_prices.shape[0]
     gross = test_prices[1:] / test_prices[:-1]
     # decision at end of test row t (global g) targets the price on row t+1
-    predicted = preds[1:]
+    predicted = np.stack([
+        predict_test_segment(model, panel, test_start)[1:]
+        for model, panel in models.values()
+    ])
     last_closes = test_prices[:-1]
     trailing = []
     for t in range(m - 1):
@@ -119,8 +125,11 @@ def _predictive_curve(
     weights = predictive_weights(
         predicted, last_closes, trailing, count=mc_count, seed=mc_seed
     )
-    dates = panel.dates[test_start:]
-    return run_backtest(weights, gross, dates, initial_capital)
+    dates = eval_panel.dates[test_start:]
+    return {
+        name: run_backtest(w, gross, dates, initial_capital)
+        for name, w in zip(models, weights)
+    }
 
 
 def run_pipeline(
@@ -178,20 +187,17 @@ def run_pipeline(
         curves[STRATEGY_REBALANCING] = run_backtest(
             rebalancing_weights(n_assets, n_periods), gross, dates, initial_capital
         )
-    if STRATEGY_LSTM in strategies:
-        plain_panel = neutralize_sentiment(panel)
-        model, report, _ = train_forecaster(plain_panel, split, lstm_config)
-        train_reports[STRATEGY_LSTM] = report
-        curves[STRATEGY_LSTM] = _predictive_curve(
-            model, neutralize_sentiment(eval_panel), t0, mc_count, mc_seed,
-            cov_window, initial_capital,
-        )
-    if STRATEGY_LSTM_SENTIMENT in strategies:
-        model, report, _ = train_forecaster(panel, split, lstm_config)
-        train_reports[STRATEGY_LSTM_SENTIMENT] = report
-        curves[STRATEGY_LSTM_SENTIMENT] = _predictive_curve(
-            model, eval_panel, t0, mc_count, mc_seed, cov_window, initial_capital
-        )
+    models = {}
+    for name in (STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT):
+        if name not in strategies:
+            continue
+        variant = neutralize_sentiment(panel) if name == STRATEGY_LSTM else panel
+        model, train_reports[name], _ = train_forecaster(variant, split, lstm_config)
+        models[name] = (model, variant.slice(0, t1))
+    if models:
+        curves.update(_predictive_curves(
+            eval_panel, models, t0, mc_count, mc_seed, cov_window, initial_capital
+        ))
 
     reports, ttest = compare_strategies(
         curves, bh_name=STRATEGY_BUY_HOLD, replicate_capitals=replicate_capitals

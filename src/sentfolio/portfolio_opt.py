@@ -3,11 +3,21 @@
 Portfolio weights live on the probability simplex (long-only, fully
 invested).  The optimizer draws random portfolios uniformly on the simplex,
 scores each by Sharpe ratio and keeps the best.
+
+One draw serves several forecasts.  ``Moments.mu`` may hold V expected-return
+rows that share one covariance; the samples and their variances are computed
+once, and every row is scored on them.  This is by design: the LSTM variants
+are compared on common random numbers (Glasserman 2004, *Monte Carlo Methods
+in Financial Engineering*, 4.2), so their weights differ only through their
+forecasts.  Each row is scored with its own GEMV, ``W @ mu_v``: stacking the
+rows into one GEMM (``W @ mus.T``) changes the bits of the returns, and a
+row's pick would then depend on which other rows came with it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +57,11 @@ class Weights:
 
 @dataclass
 class Moments:
-    """Per-period expected returns and covariance of the asset universe."""
+    """Per-period expected returns and covariance of the asset universe.
+
+    ``mu`` is one row (n,) or V rows (V, n) of expected returns, one per
+    forecast, all sharing ``cov``.
+    """
 
     mu: np.ndarray
     cov: np.ndarray
@@ -55,7 +69,9 @@ class Moments:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float)
         self.cov = np.asarray(self.cov, dtype=float)
-        n = self.mu.size
+        if self.mu.ndim not in (1, 2):
+            raise DimensionError(f"mu must be (n,) or (V, n), got shape {self.mu.shape}")
+        n = self.mu.shape[-1]
         if self.cov.shape != (n, n):
             raise DimensionError(f"cov shape {self.cov.shape} != ({n}, {n})")
         if not np.allclose(self.cov, self.cov.T, atol=1e-12):
@@ -106,7 +122,7 @@ def _sample_moments(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def portfolio_stats(w: Weights, m: Moments, risk_free: float = 0.0) -> FrontierSample:
     arr = w.as_array()
-    if arr.size != m.mu.size:
+    if arr.shape != m.mu.shape:
         raise DimensionError("weights and moments dimensions differ")
     exp_return = float(arr @ m.mu)
     variance = float(arr @ m.cov @ arr)
@@ -120,12 +136,15 @@ def frontier_samples(
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
     risk_free: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Vectorized stats for `count` random portfolios.
 
-    Returns (weights (count, n), exp_return, volatility, sharpe) arrays.
+    Returns (weights (count, n), volatility (count,), rows): the samples and
+    their volatilities are computed once, and ``rows`` yields (exp_return,
+    sharpe) for each expected-return row of ``m``, scored when it is asked
+    for, so one row's arrays can be dropped before the next is scored.
     """
-    n = m.mu.size
+    n = m.mu.shape[-1]
     W = sample_simplex(n, count, seed)
     # einsum("ij,jk,ik->i", W, cov, W) term by term and in its order: the sum
     # over j, then k, of (w_j * cov_jk) * w_k.  Same bits, about 2.5x faster
@@ -139,10 +158,16 @@ def frontier_samples(
             term *= cols[k]
             variance += term
     del cols, term  # keeps peak memory at einsum's
-    exp_ret = W @ m.mu
     vol = np.sqrt(np.maximum(variance, 0.0, out=variance), out=variance)
-    sharpe = np.where(vol < VOL_FLOOR, 0.0, (exp_ret - risk_free) / np.maximum(vol, VOL_FLOOR))
-    return W, exp_ret, vol, sharpe
+    return W, vol, _scored_rows(W, vol, np.atleast_2d(m.mu), risk_free)
+
+
+def _scored_rows(W, vol, mus, risk_free):
+    flat = vol < VOL_FLOOR
+    floored = np.maximum(vol, VOL_FLOOR)
+    for mu in mus:
+        exp_ret = W @ mu  # one GEMV per row: see the module docstring
+        yield exp_ret, np.where(flat, 0.0, (exp_ret - risk_free) / floored)
 
 
 def mean_variance_select(
@@ -150,19 +175,27 @@ def mean_variance_select(
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
     risk_free: float = 0.0,
-) -> FrontierSample:
-    """Sharpe-maximal portfolio among `count` simplex samples; ties break to
-    the lowest sample index."""
-    W, exp_ret, vol, sharpe = frontier_samples(m, count, seed, risk_free)
+) -> list[FrontierSample]:
+    """Sharpe-maximal portfolio among `count` simplex samples, one per
+    expected-return row of ``m``; ties break to the lowest sample index.
+
+    Every row is scored on the same samples.  Raises DegenerateMarketError,
+    for all rows at once, when every sample has zero volatility.
+    """
+    W, vol, rows = frontier_samples(m, count, seed, risk_free)
     if (vol < VOL_FLOOR).all():
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
-    best = int(np.argmax(sharpe))
-    return FrontierSample(
-        weights=Weights.from_array(W[best]),
-        exp_return=float(exp_ret[best]),
-        volatility=float(vol[best]),
-        sharpe=float(sharpe[best]),
-    )
+    picks = []
+    for exp_ret, sharpe in rows:
+        best = int(np.argmax(sharpe))
+        picks.append(FrontierSample(
+            weights=Weights.from_array(W[best]),
+            exp_return=float(exp_ret[best]),
+            volatility=float(vol[best]),
+            sharpe=float(sharpe[best]),
+        ))
+        del exp_ret, sharpe  # drop this row's scores before the next is scored
+    return picks
 
 
 # -- allocation strategies --------------------------------------------------
@@ -206,23 +239,33 @@ def predictive_weights(
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
     risk_free: float = 0.0,
-) -> list[Weights]:
-    """Daily mean-variance portfolios from predicted next-day returns.
+) -> list[list[Weights]]:
+    """Daily mean-variance portfolios from predicted next-day returns, for V
+    forecasts at once.
 
-    mu for day t = predicted_price / last close - 1; cov from that day's
-    trailing simple-return window.  The Monte-Carlo seed advances by day index
-    so runs are deterministic.
+    ``predicted_prices`` is (V, T, n): one forecast per variant.  mu for day
+    t = predicted_price / last close - 1; cov from that day's trailing
+    simple-return window.  The Monte-Carlo seed advances by day index so runs
+    are deterministic.  By design all V variants are scored on day t's one
+    set of draws (common random numbers), so their weights differ only
+    through their forecasts.  Each variant's row gets its own GEMV, so its
+    pick is bit for bit the one it gets alone.  A degenerate day gives every
+    variant equal weights.  Returns V lists of T weights.
     """
-    T = predicted_prices.shape[0]
-    if last_closes.shape != predicted_prices.shape or len(trailing_returns) != T:
+    if predicted_prices.ndim != 3:
+        raise DimensionError("predicted prices must be (variants, days, assets)")
+    V, T, n = predicted_prices.shape
+    if last_closes.shape != (T, n) or len(trailing_returns) != T:
         raise DimensionError("predictive inputs misaligned")
-    out = []
+    out: list[list[Weights]] = [[] for _ in range(V)]
     for t in range(T):
-        mu = predicted_prices[t] / last_closes[t] - 1.0
+        mu = predicted_prices[:, t] / last_closes[t] - 1.0
         m = Moments(mu=mu, cov=_sample_moments(trailing_returns[t])[1])
         try:
-            sample = mean_variance_select(m, count=count, seed=seed + t, risk_free=risk_free)
-            out.append(sample.weights)
+            picks = [s.weights for s in mean_variance_select(
+                m, count=count, seed=seed + t, risk_free=risk_free)]
         except DegenerateMarketError:
-            out.append(Weights.equal(mu.size))
+            picks = [Weights.equal(n)] * V
+        for weights, w in zip(out, picks):
+            weights.append(w)
     return out

@@ -122,7 +122,7 @@ def test_criterion_4_mean_variance_sanity():
     """Dominant asset takes > 0.9 weight among 50,000 samples; selection beats
     equal weights."""
     m = Moments(mu=np.array([0.02, 0.0]), cov=0.0004 * np.eye(2))
-    best = mean_variance_select(m, count=50_000, seed=0)
+    (best,) = mean_variance_select(m, count=50_000, seed=0)
     assert best.weights.values[0] > 0.9
     eq = portfolio_stats(Weights.equal(2), m)
     assert best.sharpe >= eq.sharpe - 1e-6

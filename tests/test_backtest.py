@@ -2,6 +2,7 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sentfolio.backtest import (
     WealthCurve,
@@ -141,9 +142,19 @@ class TestMaxDrawdown:
     def test_monotone_rise_is_zero(self):
         assert max_drawdown(curve_from_values([100, 110, 120])) == 0.0
 
-    def test_recovered_dip_is_zero(self):
-        # dip below start but terminal above every point: floored at 0
-        assert max_drawdown(curve_from_values([100, 80, 130])) == 0.0
+    def test_recovered_dip_counts(self):
+        # the 100 -> 80 loss counts although the curve ends above every point
+        assert max_drawdown(curve_from_values([100, 80, 130])) == pytest.approx(0.2)
+
+    def test_round_trip_is_not_zero(self):
+        assert max_drawdown(curve_from_values([100, 50, 100])) == 0.5
+
+    @given(st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=40))
+    @settings(max_examples=200)
+    def test_matches_brute_force_peak_to_trough(self, values):
+        worst = max((values[i] - values[j]) / values[i]
+                    for i in range(len(values)) for j in range(i, len(values)))
+        assert max_drawdown(curve_from_values(values)) == pytest.approx(worst, rel=1e-12, abs=1e-15)
 
     def test_scaling_invariance(self):
         vals = [100, 140, 90, 120]

@@ -274,8 +274,13 @@ def _sentiment_field(lineno, index, value, ingest_first=False):
 
 def _sentiment_lines(lineno, *new_lines):
     """Replace line ``lineno`` of the sentiment CSV with ``new_lines``."""
+    return _data_lines("sentiment.csv", lineno, *new_lines)
+
+
+def _data_lines(name, lineno, *new_lines):
+    """Replace line ``lineno`` of data file ``name`` with ``new_lines``."""
     def corrupt(root):
-        path = root / "data" / "sentiment.csv"
+        path = root / "data" / name
         lines = path.read_text().splitlines(keepends=True)
         lines[lineno - 1:lineno] = [ln + "\n" for ln in new_lines]
         path.write_text("".join(lines))
@@ -326,6 +331,14 @@ BAD_INPUTS = {
     "nan volume": (
         "ingest", lambda root: _cut_last_field(root / "data" / "BBB.csv", 4, ",nan"),
         "BBB.csv:4:"),
+    "short price row": (
+        "ingest", _data_lines("BBB.csv", 3, "2015-01-03"), "BBB.csv:3: 1 fields, expected 3"),
+    "long price row": (
+        "ingest", lambda root: _cut_last_field(root / "data" / "BBB.csv", 4, ",73815,1"),
+        "BBB.csv:4: 4 fields, expected 3"),
+    "bad price date after a blank line": (
+        "ingest", _data_lines("BBB.csv", 3, "", "2015-13-03,39.355874,99517"),
+        "BBB.csv:4: malformed row"),
     "truncated panel row": ("train", _truncate_panel_row, "panel.csv:5:"),
     "panel columns out of order": ("train", _swap_panel_columns, "panel.csv:2:"),
     "audit file without text": (

@@ -1,5 +1,6 @@
 """Exact oracles for the hot-path kernels: the logistic function, the LSTM
-forward/backward pass and the Monte-Carlo portfolio variance.
+forward/backward pass, the Monte-Carlo portfolio variance and the selection
+that scores several forecasts on one set of draws.
 
 Each fast kernel keeps every GEMM, sum and product of its reference in the
 same order, so the comparisons here are bit for bit, not within a tolerance.
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid
-from sentfolio.portfolio_opt import VOL_FLOOR, Moments, frontier_samples
+from sentfolio.errors import DegenerateMarketError
+from sentfolio.portfolio_opt import VOL_FLOOR, Moments, frontier_samples, mean_variance_select
 
 
 def assert_bits(actual, expected):
@@ -164,8 +166,8 @@ def test_frontier_variance_matches_einsum(n_assets):
         m = Moments(mu=mu, cov=cov)
         for count in (1, 7, 50_000):
             for risk_free in (0.0, 0.0003):
-                W, exp_ret, vol, sharpe = frontier_samples(m, count, seed=count,
-                                                           risk_free=risk_free)
+                W, vol, rows = frontier_samples(m, count, seed=count, risk_free=risk_free)
+                ((exp_ret, sharpe),) = rows
                 draws = np.random.default_rng(count).exponential(size=(count, n_assets))
                 assert_bits(W, draws / draws.sum(axis=1, keepdims=True))
                 variance = np.einsum("ij,jk,ik->i", W, cov, W)
@@ -175,3 +177,40 @@ def test_frontier_variance_matches_einsum(n_assets):
                 assert_bits(sharpe, np.where(
                     expected_vol < VOL_FLOOR, 0.0,
                     (W @ mu - risk_free) / np.maximum(expected_vol, VOL_FLOOR)))
+
+
+@pytest.mark.parametrize("n_assets", range(1, 13))
+def test_shared_selection_matches_single_rows(n_assets):
+    """V expected-return rows scored on one draw pick, bit for bit, what
+    each row picks on its own."""
+    rng = np.random.default_rng(100 + n_assets)
+    cov = random_cov(rng, n_assets)
+    for n_rows in (1, 2, 3):
+        mus = rng.normal(0.001, 0.01, (n_rows, n_assets))
+        for count in (1, 7, 50_000):
+            for risk_free in (0.0, 0.0003):
+                shared = mean_variance_select(Moments(mu=mus, cov=cov), count,
+                                              seed=count, risk_free=risk_free)
+                assert len(shared) == n_rows
+                for mu, got in zip(mus, shared):
+                    (want,) = mean_variance_select(Moments(mu=mu, cov=cov), count,
+                                                   seed=count, risk_free=risk_free)
+                    assert_bits(got.weights.as_array(), want.weights.as_array())
+                    for field in ("exp_return", "volatility", "sharpe"):
+                        assert_bits(getattr(got, field), getattr(want, field))
+        flat = Moments(mu=mus, cov=np.zeros((n_assets, n_assets)))
+        with pytest.raises(DegenerateMarketError):
+            mean_variance_select(flat, 7, seed=7)
+
+
+def test_frontier_rows_are_single_gemvs():
+    rng = np.random.default_rng(5)
+    mus = rng.normal(0.001, 0.01, (3, 5))
+    W, vol, rows = frontier_samples(Moments(mu=mus, cov=random_cov(rng, 5)), 50_000,
+                                    seed=3, risk_free=0.0003)
+    scored = list(rows)
+    assert len(scored) == 3
+    for mu, (exp_ret, sharpe) in zip(mus, scored):
+        assert_bits(exp_ret, W @ mu)
+        assert_bits(sharpe, np.where(vol < VOL_FLOOR, 0.0,
+                                     (W @ mu - 0.0003) / np.maximum(vol, VOL_FLOOR)))

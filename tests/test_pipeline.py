@@ -103,6 +103,18 @@ class TestRunPipeline:
         for name in ALL_STRATEGIES:
             assert again.curves[name].values == result.curves[name].values
 
+    @pytest.mark.parametrize("variant", [STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT])
+    def test_one_variant_matches_shared_draws(self, panel, result, variant):
+        # each variant's curve and weights, bit for bit, whether or not the
+        # other variant shares its Monte-Carlo draws
+        alone = run_pipeline(panel, lstm_config=FAST_LSTM, mc_count=500,
+                             strategies=(STRATEGY_BUY_HOLD, variant))
+        assert list(alone.curves) == [STRATEGY_BUY_HOLD, variant]
+        mine, shared = alone.curves[variant], result.curves[variant]
+        assert np.array(mine.values).tobytes() == np.array(shared.values).tobytes()
+        assert (np.array([w.values for w in mine.weights]).tobytes()
+                == np.array([w.values for w in shared.weights]).tobytes())
+
     def test_train_reports_for_both_variants(self, result):
         assert set(result.train_reports) == {STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT}
 

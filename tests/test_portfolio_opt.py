@@ -134,26 +134,27 @@ class TestMeanVarianceSelect:
         return Moments(mu=mu, cov=0.0001 * np.eye(3))
 
     def test_dominant_asset_gets_bulk(self):
-        best = mean_variance_select(self.dominant_market(), count=50_000, seed=0)
+        (best,) = mean_variance_select(self.dominant_market(), count=50_000, seed=0)
         assert best.weights.values[0] > 0.9
 
     def test_matches_frontier_argmax(self):
         m = self.dominant_market()
-        W, _, _, sharpe = frontier_samples(m, count=5000, seed=4)
-        best = mean_variance_select(m, count=5000, seed=4)
+        W, _, rows = frontier_samples(m, count=5000, seed=4)
+        ((_, sharpe),) = rows
+        (best,) = mean_variance_select(m, count=5000, seed=4)
         np.testing.assert_array_equal(best.weights.as_array(), W[np.argmax(sharpe)])
 
     def test_count_doubling_never_worse(self):
         m = self.dominant_market()
         prev = -np.inf
         for count in (1000, 2000, 4000, 8000):
-            s = mean_variance_select(m, count=count, seed=11).sharpe
+            (s,) = [pick.sharpe for pick in mean_variance_select(m, count=count, seed=11)]
             assert s >= prev
             prev = s
 
     def test_beats_equal_weights(self):
         m = self.dominant_market()
-        best = mean_variance_select(m, count=50_000, seed=0)
+        (best,) = mean_variance_select(m, count=50_000, seed=0)
         eq = portfolio_stats(Weights.equal(3), m)
         assert best.sharpe >= eq.sharpe
 
@@ -162,8 +163,8 @@ class TestMeanVarianceSelect:
         # leaves the selected weights unchanged
         m = self.dominant_market()
         scaled = Moments(mu=10.0 * m.mu, cov=m.cov)
-        a = mean_variance_select(m, count=5000, seed=6)
-        b = mean_variance_select(scaled, count=5000, seed=6)
+        (a,) = mean_variance_select(m, count=5000, seed=6)
+        (b,) = mean_variance_select(scaled, count=5000, seed=6)
         assert a.weights == b.weights
 
     def test_degenerate_market(self):
@@ -221,17 +222,17 @@ class TestBestStock:
 
 
 class TestPredictiveWeights:
-    def make_inputs(self, T=3, n=3, seed=0):
+    def make_inputs(self, V=1, T=3, n=3, seed=0):
         rng = np.random.default_rng(seed)
         last = np.full((T, n), 100.0)
-        pred = last * (1.0 + rng.normal(0.0, 0.01, size=(T, n)))
+        pred = last * (1.0 + rng.normal(0.0, 0.01, size=(V, T, n)))
         trailing = [rng.normal(0.0, 0.02, size=(30, n)) for _ in range(T)]
         return pred, last, trailing
 
     def test_one_weight_per_day(self):
-        pred, last, trailing = self.make_inputs()
+        pred, last, trailing = self.make_inputs(V=2)
         ws = predictive_weights(pred, last, trailing, count=2000, seed=0)
-        assert len(ws) == 3
+        assert [len(w) for w in ws] == [3, 3]
 
     def test_deterministic(self):
         pred, last, trailing = self.make_inputs()
@@ -239,12 +240,20 @@ class TestPredictiveWeights:
         b = predictive_weights(pred, last, trailing, count=2000, seed=5)
         assert a == b
 
+    def test_variants_scored_as_if_alone(self):
+        pred, last, trailing = self.make_inputs(V=3, T=4, n=4)
+        shared = predictive_weights(pred, last, trailing, count=2000, seed=2)
+        for v in range(3):
+            (alone,) = predictive_weights(pred[v:v + 1], last, trailing, count=2000, seed=2)
+            assert [w.as_array().tobytes() for w in shared[v]] == [
+                w.as_array().tobytes() for w in alone]
+
     def test_degenerate_day_falls_back_to_equal(self):
-        pred = np.array([[101.0, 102.0]])
+        pred = np.array([[[101.0, 102.0]], [[99.0, 98.0]]])
         last = np.array([[100.0, 100.0]])
         trailing = [np.zeros((10, 2))]
         ws = predictive_weights(pred, last, trailing, count=100, seed=0)
-        assert ws[0] == Weights.equal(2)
+        assert ws == [[Weights.equal(2)], [Weights.equal(2)]]
 
     def test_misaligned_inputs(self):
         pred, last, trailing = self.make_inputs()
@@ -252,9 +261,11 @@ class TestPredictiveWeights:
             predictive_weights(pred, last[:-1], trailing, count=100, seed=0)
         with pytest.raises(DimensionError):  # a trailing window of 2 assets, not 3
             predictive_weights(pred, last, [w[:, :2] for w in trailing], count=100, seed=0)
+        with pytest.raises(DimensionError):  # one forecast without its variant axis
+            predictive_weights(pred[0], last, trailing, count=100, seed=0)
 
     def test_each_day_covariance_checked_once(self, monkeypatch):
-        pred, last, trailing = self.make_inputs(T=4)
+        pred, last, trailing = self.make_inputs(V=2, T=4)
         expected = [estimate_moments(w).cov for w in trailing]
         checked = []
         eigvalsh = np.linalg.eigvalsh
@@ -265,10 +276,9 @@ class TestPredictiveWeights:
 
     def test_strong_signal_tilts_weights(self):
         # asset 0 predicted +5%, others flat; independent equal risk
-        pred = np.array([[105.0, 100.0, 100.0]])
+        pred = np.array([[[105.0, 100.0, 100.0]]])
         last = np.array([[100.0, 100.0, 100.0]])
         rng = np.random.default_rng(1)
         trailing = [rng.normal(0.0, 0.01, size=(50, 3))]
-        ws = predictive_weights(pred, last, trailing, count=20_000, seed=0)
-        assert ws[0].values[0] > 0.5
-
+        ((w,),) = predictive_weights(pred, last, trailing, count=20_000, seed=0)
+        assert w.values[0] > 0.5
