@@ -45,7 +45,8 @@ class PriceSeries:
                 )
         for d, p in zip(self.dates, self.adj_close):
             if not (p > 0) or not math.isfinite(p):
-                raise ValidationError(f"{self.asset_id}: non-positive adj_close on {d}")
+                raise ValidationError(
+                    f"{self.asset_id}: non-positive or non-finite adj_close on {d}")
         for d, v in zip(self.dates, self.volume):
             if not (math.isfinite(v) and v >= 0):
                 raise ValidationError(f"{self.asset_id}: non-finite or negative volume on {d}")
@@ -128,9 +129,10 @@ class AlignedPanel:
 def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     """Parse one per-asset CSV with columns date, adj_close, volume.
 
-    Rows are sorted by date; blank lines are skipped.  A row whose width
-    differs from the header's, a malformed field or a non-positive price is
-    rejected with its file line named; a duplicate date is rejected too.
+    Rows are sorted by date; blank lines are skipped.  A record that spans
+    lines (an unbalanced quote), a row whose width differs from the header's,
+    a malformed field, a non-positive or non-finite price or a bad volume is
+    rejected with its first file line named; a duplicate date is rejected too.
     """
     path = Path(path)
     if not path.exists():
@@ -145,10 +147,14 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
             raise ParseError(f"{path}: header must contain {sorted(required)}")
         column = {name: i for i, name in enumerate(header)}
         i_date, i_price, i_volume = column["date"], column["adj_close"], column["volume"]
+        end = reader.line_num
         for row in reader:
+            start, end = end + 1, reader.line_num
             if not row:
                 continue
-            where = f"{path}:{reader.line_num}"  # the file line, blank lines counted
+            where = f"{path}:{start}"  # the file line, blank lines counted
+            if end != start:
+                raise ParseError(f"{where}: quoted field runs on to line {end}")
             if len(row) != len(header):
                 raise ParseError(f"{where}: {len(row)} fields, expected {len(header)}")
             try:
@@ -157,6 +163,8 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
                 volume = float(row[i_volume])
             except ValueError as exc:
                 raise ParseError(f"{where}: malformed row ({exc})") from exc
+            if not math.isfinite(price):
+                raise ValidationError(f"{where}: non-finite adj_close {price}")
             if not price > 0:
                 raise ValidationError(f"{where}: non-positive adj_close {price}")
             if not (math.isfinite(volume) and volume >= 0):

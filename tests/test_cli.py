@@ -260,10 +260,15 @@ def _config_edit(old, new):
 
 def _sentiment_field(lineno, index, value, ingest_first=False):
     """Set field ``index`` of line ``lineno`` of the (unquoted) sentiment CSV."""
+    return _data_field("sentiment.csv", lineno, index, value, ingest_first)
+
+
+def _data_field(name, lineno, index, value, ingest_first=False):
+    """Set field ``index`` of line ``lineno`` of (unquoted) data file ``name``."""
     def corrupt(root):
         if ingest_first:
             _ingested(root)
-        path = root / "data" / "sentiment.csv"
+        path = root / "data" / name
         lines = path.read_text().splitlines(keepends=True)
         fields = lines[lineno - 1].rstrip("\n").split(",")
         fields[index] = value
@@ -331,6 +336,11 @@ BAD_INPUTS = {
     "nan volume": (
         "ingest", lambda root: _cut_last_field(root / "data" / "BBB.csv", 4, ",nan"),
         "BBB.csv:4:"),
+    "infinite price": (
+        "ingest", _data_field("BBB.csv", 3, 1, "1e400"), "BBB.csv:3: non-finite adj_close inf"),
+    "unbalanced quote in price row": (
+        "ingest", _data_field("BBB.csv", 3, 1, '"39.355874'),
+        "BBB.csv:3: quoted field runs on to line 101"),
     "short price row": (
         "ingest", _data_lines("BBB.csv", 3, "2015-01-03"), "BBB.csv:3: 1 fields, expected 3"),
     "long price row": (
@@ -460,3 +470,39 @@ def test_sentiment_mutation_exits_0_or_2_with_one_error_line(fuzz_root, row, fie
         assert code in (0, 2), (command, lines)
         assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
         assert not caught, (command, [str(w.message) for w in caught])
+
+
+@settings(max_examples=40, deadline=None)
+@given(asset=st.sampled_from(["AAA", "BBB", "CCC"]), row=st.integers(1, 100),
+       field=st.integers(0, 2), mutation=MUTATIONS)
+def test_price_mutation_exits_0_or_2_with_one_error_line(fuzz_root, asset, row, field,
+                                                         mutation):
+    kind, value = mutation
+    path = fuzz_root / "data" / f"{asset}.csv"
+    original = path.read_text()
+    lines = original.splitlines()
+    fields = lines[row].split(",")
+    if kind == "drop":
+        del fields[field]
+    elif kind == "add":
+        fields.insert(field, value)
+    elif kind == "set":
+        fields[field] = value
+    else:
+        fields[field] = fields[field][:value] + '"' + fields[field][value:]
+    lines[row] = ",".join(fields)
+    (fuzz_root / "data" / "sentiment.csv").write_text(
+        "\n".join([HEADER] + [",".join(r) for r in SMALL_SENTIMENT]) + "\n")
+    path.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run(fuzz_root, "ingest")
+    finally:
+        path.write_text(original)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), lines
+    assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+    assert not caught, [str(w.message) for w in caught]

@@ -1,6 +1,7 @@
 """Exact oracles for the hot-path kernels: the logistic function, the LSTM
-forward/backward pass, the Monte-Carlo portfolio variance and the selection
-that scores several forecasts on one set of draws.
+forward/backward pass, the Monte-Carlo portfolio variance, the selection
+that scores several forecasts on one set of draws and the reuse of one
+Monte-Carlo workspace across days.
 
 Each fast kernel keeps every GEMM, sum and product of its reference in the
 same order, so the comparisons here are bit for bit, not within a tolerance.
@@ -13,7 +14,13 @@ import pytest
 
 from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid
 from sentfolio.errors import DegenerateMarketError
-from sentfolio.portfolio_opt import VOL_FLOOR, Moments, frontier_samples, mean_variance_select
+from sentfolio.portfolio_opt import (
+    VOL_FLOOR,
+    Moments,
+    MonteCarloWorkspace,
+    frontier_samples,
+    mean_variance_select,
+)
 
 
 def assert_bits(actual, expected):
@@ -214,3 +221,53 @@ def test_frontier_rows_are_single_gemvs():
         assert_bits(exp_ret, W @ mu)
         assert_bits(sharpe, np.where(vol < VOL_FLOOR, 0.0,
                                      (W @ mu - 0.0003) / np.maximum(vol, VOL_FLOOR)))
+
+
+# -- one Monte-Carlo workspace across days ----------------------------------
+
+def test_standard_exponential_into_out_matches_exponential():
+    out = np.empty((50_000, 5))
+    for seed in range(50):
+        np.random.default_rng(seed).standard_exponential(out=out)
+        assert_bits(out, np.random.default_rng(seed).exponential(scale=1.0, size=(50_000, 5)))
+
+
+def select_or_degenerate(m, count, seed, workspace=None):
+    try:
+        return mean_variance_select(m, count, seed=seed, risk_free=0.0003, workspace=workspace)
+    except DegenerateMarketError:
+        return None
+
+
+@pytest.mark.parametrize("n_assets", range(1, 13))
+def test_reused_workspace_matches_fresh_selection(n_assets):
+    """A run of days in one workspace, with an all-zero covariance day between
+    two normal days, picks bit for bit what fresh arrays pick each day."""
+    rng = np.random.default_rng(200 + n_assets)
+    zero = np.zeros((n_assets, n_assets))
+    covs = [random_cov(rng, n_assets), random_cov(rng, n_assets), zero,
+            random_cov(rng, n_assets)]
+    count = 50_000
+    workspace = MonteCarloWorkspace(count, n_assets)
+    for day, cov in enumerate(covs):
+        m = Moments(mu=rng.normal(0.001, 0.01, (2, n_assets)), cov=cov)
+        got = select_or_degenerate(m, count, day, workspace)
+        want = select_or_degenerate(m, count, day)
+        assert (got is None) == (want is None) == (cov is zero)
+        for g, w in zip(got or (), want or ()):
+            assert_bits(g.weights.as_array(), w.weights.as_array())
+            for field in ("exp_return", "volatility", "sharpe"):
+                assert_bits(getattr(g, field), getattr(w, field))
+
+
+def test_frontier_without_workspace_returns_fresh_arrays():
+    rng = np.random.default_rng(9)
+    m = Moments(mu=rng.normal(0.001, 0.01, 5), cov=random_cov(rng, 5))
+    W, vol, rows = frontier_samples(m, 1000, seed=1)
+    ((exp_ret, sharpe),) = rows
+    first = [a.copy() for a in (W, vol, exp_ret, sharpe)]
+    W2, _, rows2 = frontier_samples(m, 1000, seed=2)
+    list(rows2)
+    assert not np.array_equal(W2, first[0])
+    for kept, copy in zip((W, vol, exp_ret, sharpe), first):
+        assert_bits(kept, copy)

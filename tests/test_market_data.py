@@ -60,6 +60,12 @@ class TestLoadPrices:
         with pytest.raises(ParseError, match=":3"):
             load_prices(f)
 
+    def test_unbalanced_quote_names_first_line(self, tmp_path):
+        f = tmp_path / "XYZ.csv"
+        write_csv(f, ["2001-01-02,10.0,100", '2001-01-03,"10.5,90', "", "2001-01-04,11.0,80"])
+        with pytest.raises(ParseError, match="XYZ.csv:3: quoted field runs on to line 5$"):
+            load_prices(f)
+
     def test_missing_header_column(self, tmp_path):
         f = tmp_path / "XYZ.csv"
         write_csv(f, ["2001-01-02,10.0"], header="date,adj_close")
@@ -72,6 +78,18 @@ class TestLoadPrices:
         write_csv(f, ["2001-01-02,10.0,100", f"2001-01-03,10.5,{volume}"])
         with pytest.raises(ValidationError, match=":3"):
             load_prices(f)
+
+    @pytest.mark.parametrize("price,shown", [("inf", "inf"), ("1e400", "inf"),
+                                             ("nan", "nan"), ("-inf", "-inf")])
+    def test_non_finite_price_names_line(self, tmp_path, price, shown):
+        f = tmp_path / "XYZ.csv"
+        write_csv(f, ["2001-01-02,10.0,100", f"2001-01-05,{price},90"])
+        with pytest.raises(ValidationError, match=f"XYZ.csv:3: non-finite adj_close {shown}$"):
+            load_prices(f)
+
+    def test_price_series_rejects_infinite_price(self):
+        with pytest.raises(ValidationError, match="non-positive or non-finite adj_close"):
+            PriceSeries("A", [dt.date(2020, 1, 1)], [float("inf")], [1.0])
 
     def test_price_series_rejects_nan_volume(self):
         with pytest.raises(ValidationError):

@@ -10,6 +10,7 @@ from sentfolio.errors import (
     InsufficientDataError,
     ValidationError,
 )
+from sentfolio import portfolio_opt
 from sentfolio.portfolio_opt import (
     Moments,
     Weights,
@@ -273,6 +274,22 @@ class TestPredictiveWeights:
                             lambda a: checked.append(a.copy()) or eigvalsh(a))
         predictive_weights(pred, last, trailing, count=100, seed=0)
         assert [c.tobytes() for c in checked] == [c.tobytes() for c in expected]
+
+    @pytest.mark.parametrize("T", [1, 6])
+    def test_one_workspace_per_call(self, monkeypatch, T):
+        """Every day, a degenerate one too, draws in the call's one workspace."""
+        pred, last, trailing = self.make_inputs(V=2, T=T)
+        trailing[0] = np.zeros_like(trailing[0])
+        built = []
+
+        class Counted(portfolio_opt.MonteCarloWorkspace):
+            def __init__(self, count, n_assets):
+                built.append((count, n_assets))
+                super().__init__(count, n_assets)
+
+        monkeypatch.setattr(portfolio_opt, "MonteCarloWorkspace", Counted)
+        predictive_weights(pred, last, trailing, count=500, seed=0)
+        assert built == [(500, 3)]
 
     def test_strong_signal_tilts_weights(self):
         # asset 0 predicted +5%, others flat; independent equal risk
