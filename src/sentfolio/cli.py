@@ -28,6 +28,7 @@ from .errors import (
     AlignmentError,
     ConfigurationError,
     DegenerateInputError,
+    DegenerateMarketError,
     DimensionError,
     InsufficientDataError,
     ParseError,
@@ -35,6 +36,7 @@ from .errors import (
     SingularDesignError,
     ValidationError,
 )
+from .csvfile import read_csv
 from .forecast_lstm import LstmConfig, save_checkpoint
 from .market_data import (
     FEATURE_NAMES,
@@ -217,14 +219,10 @@ def _panel_path(cfg: RunConfig) -> Path:
 
 def write_panel(panel: AlignedPanel, cfg: RunConfig) -> Path:
     path = _panel_path(cfg)
-    with open(path, "w", newline="") as fh:
-        fh.write(cfg.stamp() + "\n")
-        writer = csv.writer(fh)
-        header = ["date"] + [f"{a}:{f}" for a in panel.assets for f in FEATURE_NAMES]
-        writer.writerow(header)
-        mat = panel.feature_matrix()
-        for i, d in enumerate(panel.dates):
-            writer.writerow([d.isoformat()] + [repr(float(v)) for v in mat[i]])
+    header = ["date"] + [f"{a}:{f}" for a in panel.assets for f in FEATURE_NAMES]
+    _write_csv(path, cfg, header,
+               ([d.isoformat()] + [repr(float(v)) for v in row]
+                for d, row in zip(panel.dates, panel.feature_matrix())))
     return path
 
 
@@ -232,10 +230,7 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
     path = _panel_path(cfg)
     if not path.exists():
         raise ConfigurationError(f"panel artifact missing ({path}); run ingest first")
-    with open(path) as fh:
-        fh.readline()  # stamp
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    with read_csv(path, (), stamped=True) as (header, records):
         assets = [c.split(":")[0] for c in header[1::len(FEATURE_NAMES)]]
         expected = ["date"] + [f"{a}:{f}" for a in assets for f in FEATURE_NAMES]
         if not assets or header != expected:
@@ -246,14 +241,14 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
                                      f"{cfg.assets}; run ingest again")
         dates = []
         rows = []
-        for lineno, row in enumerate(reader, start=3):
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: {len(row)} columns, expected {len(header)}")
+        for line, row in records:
             try:
                 dates.append(dt.date.fromisoformat(row[0]))
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: malformed row ({exc})") from exc
+                raise ParseError(f"{path}:{line}: malformed row ({exc})") from exc
+            if not all(map(math.isfinite, rows[-1])):
+                raise ParseError(f"{path}:{line}: non-finite value")
     values = np.asarray(rows, dtype=float).reshape(len(dates), len(assets), len(FEATURE_NAMES))
     return AlignedPanel(dates=dates, assets=assets, values=values)
 
@@ -455,24 +450,40 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
     return 0
 
 
-def _read_artifact_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+def _capital(field: str) -> float:
+    value = float(field)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"capital {field!r} is not a positive finite number")
+    return value
+
+
+def _read_artifact_csv(path: Path, required: tuple[str, ...], parse_key
+                       ) -> tuple[list[str], list, list[list[float]]]:
+    """The stamped artifact at ``path``, whose first column is a key read by
+    ``parse_key`` and whose other columns hold capitals: the names of those
+    columns, the keys, and one list of capitals per row."""
     if not path.exists():
         raise ConfigurationError(f"artifact missing ({path}); run earlier stages first")
-    with open(path) as fh:
-        fh.readline()
-        reader = csv.reader(fh)
-        header = next(reader)
-        return header, list(reader)
+    keys, capitals = [], []
+    with read_csv(path, required, stamped=True) as (header, records):
+        for line, row in records:
+            try:
+                keys.append(parse_key(row[0]))
+                capitals.append([_capital(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{line}: {exc}") from exc
+    return header[1:], keys, capitals
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    header, rows = _read_artifact_csv(cfg.out_dir / "wealth_curves.csv")
-    names = header[1:]
-    dates = [dt.date.fromisoformat(r[0]) for r in rows]
+    curves_path = cfg.out_dir / "wealth_curves.csv"
+    names, dates, rows = _read_artifact_csv(curves_path, ("date",), dt.date.fromisoformat)
+    if len(rows) < 2:
+        raise ParseError(f"{curves_path}: {len(rows)} rows, need at least 2")
     curves = {
         name: WealthCurve(
             dates=dates,
-            values=[float(r[i + 1]) for r in rows],
+            values=[r[i] for r in rows],
             weights=[],
         )
         for i, name in enumerate(names)
@@ -480,10 +491,13 @@ def cmd_report(cfg: RunConfig) -> int:
     replicate_capitals = None
     rep_path = cfg.out_dir / "replicates.csv"
     if rep_path.exists():
-        _, rep_rows = _read_artifact_csv(rep_path)
+        rep_names, _, rep_rows = _read_artifact_csv(
+            rep_path, ("seed", "lstm_sentiment_final", "lstm_final"), int)
+        with_sent = rep_names.index("lstm_sentiment_final")
+        without_sent = rep_names.index("lstm_final")
         replicate_capitals = (
-            [float(r[1]) for r in rep_rows],
-            [float(r[2]) for r in rep_rows],
+            [r[with_sent] for r in rep_rows],
+            [r[without_sent] for r in rep_rows],
         )
     reports, ttest = compare_strategies(
         curves, bh_name=pipeline.STRATEGY_BUY_HOLD,
@@ -528,7 +542,10 @@ def cmd_frontier(cfg: RunConfig) -> int:
     moments = estimate_moments(prices[1:] / prices[:-1] - 1.0)
     _, vol, rows = frontier_samples(moments, cfg.mc_count, cfg.mc_seed)
     ((exp_ret, sharpe),) = rows
-    (best,) = mean_variance_select(moments, cfg.mc_count, cfg.mc_seed)
+    try:
+        (best,) = mean_variance_select(moments, cfg.mc_count, cfg.mc_seed)
+    except DegenerateMarketError as exc:
+        raise ValidationError(f"{exc}: the train split's returns never vary") from exc
     path = cfg.out_dir / "frontier.csv"
     _write_csv(path, cfg, ["exp_return", "volatility", "sharpe"],
                [[repr(float(r)), repr(float(v)), repr(float(s))]
@@ -547,13 +564,13 @@ def cmd_audit(cfg: RunConfig) -> int:
         raise ConfigurationError("audit requires audit_file and lexicon_file")
     lex = sentiment.Lexicon.from_file(cfg.lexicon_file)
     sample = []
-    with open(cfg.audit_file, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = {"text", "label"} - set(reader.fieldnames or ())
-        if missing:
-            raise ParseError(f"{cfg.audit_file}: header lacks {', '.join(sorted(missing))}")
-        for row in reader:
-            sample.append((row["text"] or "", (row["label"] or "").strip()))
+    with read_csv(cfg.audit_file, ("text", "label"), multiline=True) as (header, records):
+        i_text, i_label = header.index("text"), header.index("label")
+        for line, row in records:
+            label = row[i_label].strip()
+            if label not in sentiment.LABELS:
+                raise ParseError(f"{cfg.audit_file}:{line}: unknown true label {label!r}")
+            sample.append((row[i_text], label))
     matrix, accuracy = sentiment.audit_labels(sample, lex)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.out_dir / "confusion.csv"

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, field
@@ -10,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .csvfile import read_csv
 from .errors import (
     AlignmentError,
     ConfigurationError,
@@ -127,36 +127,23 @@ class AlignedPanel:
 
 
 def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
-    """Parse one per-asset CSV with columns date, adj_close, volume.
+    """Parse one per-asset CSV with columns date, adj_close and volume, read
+    by ``csvfile.read_csv``.
 
-    Rows are sorted by date; blank lines are skipped.  A record that spans
-    lines (an unbalanced quote), a row whose width differs from the header's,
-    a malformed field, a non-positive or non-finite price or a bad volume is
-    rejected with its first file line named; a duplicate date is rejected too.
+    Rows are sorted by date.  A malformed field, a non-positive or
+    non-finite price or a bad volume is rejected with its file line named;
+    a duplicate date is rejected too.
     """
     path = Path(path)
     if not path.exists():
         raise ParseError(f"price file not found: {path}")
     asset = asset_id or path.stem
     rows: list[tuple[dt.date, float, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        required = {"date", "adj_close", "volume"}
-        if header is None or not required.issubset(header):
-            raise ParseError(f"{path}: header must contain {sorted(required)}")
+    with read_csv(path, ("date", "adj_close", "volume")) as (header, records):
         column = {name: i for i, name in enumerate(header)}
         i_date, i_price, i_volume = column["date"], column["adj_close"], column["volume"]
-        end = reader.line_num
-        for row in reader:
-            start, end = end + 1, reader.line_num
-            if not row:
-                continue
-            where = f"{path}:{start}"  # the file line, blank lines counted
-            if end != start:
-                raise ParseError(f"{where}: quoted field runs on to line {end}")
-            if len(row) != len(header):
-                raise ParseError(f"{where}: {len(row)} fields, expected {len(header)}")
+        for line, row in records:
+            where = f"{path}:{line}"
             try:
                 date = dt.date.fromisoformat(row[i_date].strip())
                 price = float(row[i_price])

@@ -21,7 +21,6 @@ engagement sums converted to float once, the ``math.fsum`` mean, ``max`` and
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
 import math
 import re
@@ -34,6 +33,7 @@ from statistics import median
 
 import numpy as np
 
+from .csvfile import read_csv
 from .errors import ParseError, ValidationError
 
 POSITIVE = "Positive"
@@ -359,9 +359,9 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
     text, label, polarity, likes, retweets and comments; an absent count
     column reads as 0.  A row with both label and polarity is taken as
     labeled; label_text scores every other row, which needs ``lexicon``.
-    A row whose width differs from the header's, or any bad field, is a
-    ParseError that names the file line (the last line of a record that
-    spans several).
+    The file is read by ``csvfile.read_csv``, and texts may hold quoted line
+    breaks.  A bad field is a ParseError that names the record's first file
+    line.
     """
     path = Path(path)
     # per row: day, asset, likes, retweets, comments, line
@@ -386,27 +386,18 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
             line=columns[:, 5],
         )
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with read_csv(path, ("date", "asset"), multiline=True) as (header, records):
+        column = {name: i for i, name in enumerate(header)}
+        i_date, i_asset = column["date"], column["asset"]
+        i_text, i_label, i_pol = (column.get(c) for c in ("text", "label", "polarity"))
+        i_counts = [column.get(c) for c in ENGAGEMENT]
+        if None in i_counts:
+            def counts_of(row):
+                return tuple("" if i is None else row[i] for i in i_counts)
+        else:
+            counts_of = itemgetter(*i_counts)
         try:
-            header = next(reader, None)
-            if header is None or not {"date", "asset"}.issubset(header):
-                raise ParseError(f"{path}: header must contain date and asset")
-            column = {name: i for i, name in enumerate(header)}
-            width = len(header)
-            i_date, i_asset = column["date"], column["asset"]
-            i_text, i_label, i_pol = (column.get(c) for c in ("text", "label", "polarity"))
-            i_counts = [column.get(c) for c in ENGAGEMENT]
-            if None in i_counts:
-                def counts_of(row):
-                    return tuple("" if i is None else row[i] for i in i_counts)
-            else:
-                counts_of = itemgetter(*i_counts)
-            for row in reader:
-                if len(row) != width:
-                    if not row:
-                        continue
-                    raise ValueError(f"{len(row)} fields, expected {width}")
+            for line, row in records:
                 try:
                     d = ordinal[row[i_date]]
                 except KeyError:
@@ -435,16 +426,18 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
                     likes, retweets, comments = int(likes), int(retweets), int(comments)
                 except ValueError:
                     likes, retweets, comments = _count(likes), _count(retweets), _count(comments)
-                ints.extend((d, a, likes, retweets, comments, reader.line_num))
+                ints.extend((d, a, likes, retweets, comments, line))
                 text.append(t)
                 label.append(c)
                 polarity.append(p)
-        except (ValueError, OverflowError, ValidationError, csv.Error) as exc:
+        except (ParseError, ValueError, OverflowError, ValidationError) as exc:
             # an earlier row may already be invalid: name the first bad row
             _validate(path, table(), unknown_label)
+            if isinstance(exc, ParseError):
+                raise
             message = (f"engagement count above {MAX_COUNT}"  # a count beyond int64
                        if isinstance(exc, OverflowError) else exc)
-            raise ParseError(f"{path}:{reader.line_num}: {message}") from exc
+            raise ParseError(f"{path}:{line}: {message}") from exc
     result = table()
     _validate(path, result, unknown_label)
     return result

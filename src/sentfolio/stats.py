@@ -42,9 +42,6 @@ class GrangerReport:
     max_lag: int
     lags: list[GrangerLag]
 
-    def p_values(self) -> list[float]:
-        return [entry.result.p_value for entry in self.lags]
-
 
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""

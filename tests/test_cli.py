@@ -268,13 +268,17 @@ def _data_field(name, lineno, index, value, ingest_first=False):
     def corrupt(root):
         if ingest_first:
             _ingested(root)
-        path = root / "data" / name
-        lines = path.read_text().splitlines(keepends=True)
-        fields = lines[lineno - 1].rstrip("\n").split(",")
-        fields[index] = value
-        lines[lineno - 1] = ",".join(fields) + "\n"
-        path.write_text("".join(lines))
+        _set_field(root / "data" / name, lineno, index, value)
     return corrupt
+
+
+def _set_field(path, lineno, index, value):
+    """Set field ``index`` of line ``lineno`` of the (unquoted) CSV ``path``."""
+    lines = path.read_text().splitlines(keepends=True)
+    fields = lines[lineno - 1].rstrip("\r\n").split(",")
+    fields[index] = value
+    lines[lineno - 1] = ",".join(fields) + "\n"
+    path.write_text("".join(lines))
 
 
 def _sentiment_lines(lineno, *new_lines):
@@ -292,6 +296,38 @@ def _data_lines(name, lineno, *new_lines):
     return corrupt
 
 
+def _out_files(**texts):
+    """Write each ``name=text`` as the artifact ``out/<name>.csv``."""
+    def corrupt(root):
+        (root / "out").mkdir(exist_ok=True)
+        for name, text in texts.items():
+            (root / "out" / f"{name}.csv").write_text(text)
+    return corrupt
+
+
+def _flat_prices(root):
+    """Every price file at a constant price, then ingest."""
+    for asset in ("AAA", "BBB", "CCC"):
+        path = root / "data" / f"{asset}.csv"
+        dates = [row.split(",")[0] for row in path.read_text().splitlines()[1:]]
+        path.write_text("date,adj_close,volume\n" + "".join(f"{d},10.0,100\n" for d in dates))
+    _ingested(root)
+
+
+STAMP = "# config=000000000000 seed=0\n"
+WEALTH_CURVES = STAMP + """\
+date,Buy and Hold,LSTM
+2015-01-02,10000.0,10000.0
+2015-01-05,10100.0,9950.0
+2015-01-06,10050.0,10020.0
+2015-01-07,10200.0,10110.0
+"""
+REPLICATES = STAMP + """\
+seed,lstm_sentiment_final,lstm_final
+1,10100.0,10050.0
+2,10200.0,10010.0
+"""
+FIELD_LIMIT = 131_072  # csv.field_size_limit() by default
 MONTE_CARLO = "monte_carlo:\n  count: 300\n  seed: 0\n"
 
 BAD_INPUTS = {
@@ -370,6 +406,48 @@ BAD_INPUTS = {
         "ingest", _sentiment_lines(2, '2015-01-02,AAA,"spans\nthree\nlines",Positive,0.5,1,2,3',
                                    "2015-13-02,AAA,,Positive,0.5,0,0,0"),
         "sentiment.csv:5: month must be in 1..12"),
+    "sentiment quote that runs past the field limit": (
+        "ingest", _sentiment_field(4, 2, '"'),
+        f"sentiment.csv:4: field larger than field limit ({FIELD_LIMIT})"),
+    "unterminated quote at the end of a price file": (
+        "ingest", lambda root: _cut_last_field(root / "data" / "BBB.csv", 101, ',"25534'),
+        "BBB.csv:101: unexpected end of data"),
+    "oversized price field": (
+        "ingest", _data_field("BBB.csv", 3, 1, "1" * (FIELD_LIMIT + 1)),
+        "BBB.csv:3: field larger than field limit"),
+    "oversized panel field": (
+        "train", lambda root: _set_field(_ingested(root), 4, 1, "1" * (FIELD_LIMIT + 1)),
+        "panel.csv:4: field larger than field limit"),
+    "non-finite panel value": (
+        "train", lambda root: _set_field(_ingested(root), 6, 2, "nan"),
+        "panel.csv:6: non-finite value"),
+    "wealth curves holding only the stamp": (
+        "report", _out_files(wealth_curves=STAMP), "wealth_curves.csv:2: header must contain date"),
+    "short wealth curve row": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES.replace(",10050.0,10020.0", "")),
+        "wealth_curves.csv:5: 1 fields, expected 3"),
+    "non-numeric capital": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES.replace("9950.0", "rich")),
+        "wealth_curves.csv:4: could not convert string to float: 'rich'"),
+    "non-finite capital": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES.replace("10200.0", "inf")),
+        "wealth_curves.csv:6: capital 'inf' is not a positive finite number"),
+    "non-numeric replicate capital": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES,
+                             replicates=REPLICATES.replace("10010.0", "lots")),
+        "replicates.csv:4: could not convert string to float: 'lots'"),
+    "unbalanced quote in audit file": (
+        "audit", lambda root: (root / "audit.csv").write_text(AUDIT.replace("good", '"good')),
+        "audit.csv:2: unexpected end of data"),
+    "oversized audit field": (
+        "audit", lambda root: (root / "audit.csv").write_text(
+            AUDIT.replace("bad", "b" * (FIELD_LIMIT + 1))),
+        "audit.csv:3: field larger than field limit"),
+    "unknown true label in audit file": (
+        "audit", lambda root: (root / "audit.csv").write_text(AUDIT.replace("Negative", "Negatve")),
+        "audit.csv:3: unknown true label 'Negatve'"),
+    "frontier on prices that never move": (
+        "frontier", _flat_prices, "the train split's returns never vary"),
 }
 
 
@@ -435,6 +513,33 @@ MUTATIONS = st.one_of(
 )
 
 
+def _mutated(fields, field, mutation):
+    """``fields`` with one MUTATIONS change at index ``field``."""
+    kind, value = mutation
+    fields = list(fields)
+    if kind == "drop":
+        del fields[field]
+    elif kind == "add":
+        fields.insert(field, value)
+    elif kind == "set":
+        fields[field] = value
+    else:
+        fields[field] = fields[field][:value] + '"' + fields[field][value:]
+    return fields
+
+
+def _exits_0_or_2_with_one_error_line(root, command):
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run(root, command)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), (command, lines)
+    assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
+    assert not caught, (command, [str(w.message) for w in caught])
+
+
 @pytest.fixture(scope="module")
 def fuzz_root(tmp_path_factory):
     root = populate(tmp_path_factory.mktemp("fuzz"), THREE_ASSETS)
@@ -448,28 +553,11 @@ def fuzz_root(tmp_path_factory):
 @given(row=st.integers(0, len(SMALL_SENTIMENT) - 1), field=st.integers(0, 7),
        mutation=MUTATIONS)
 def test_sentiment_mutation_exits_0_or_2_with_one_error_line(fuzz_root, row, field, mutation):
-    kind, value = mutation
-    fields = list(SMALL_SENTIMENT[row])
-    if kind == "drop":
-        del fields[field]
-    elif kind == "add":
-        fields.insert(field, value)
-    elif kind == "set":
-        fields[field] = value
-    else:
-        fields[field] = fields[field][:value] + '"' + fields[field][value:]
+    fields = _mutated(SMALL_SENTIMENT[row], field, mutation)
     rows = [",".join(fields) if i == row else ",".join(r) for i, r in enumerate(SMALL_SENTIMENT)]
     (fuzz_root / "data" / "sentiment.csv").write_text("\n".join([HEADER] + rows) + "\n")
     for command in ("ingest", "label", "analyze"):
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = run(fuzz_root, command)
-        lines = err.getvalue().splitlines()
-        assert code in (0, 2), (command, lines)
-        assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
-        assert not caught, (command, [str(w.message) for w in caught])
+        _exits_0_or_2_with_one_error_line(fuzz_root, command)
 
 
 @settings(max_examples=40, deadline=None)
@@ -477,32 +565,57 @@ def test_sentiment_mutation_exits_0_or_2_with_one_error_line(fuzz_root, row, fie
        field=st.integers(0, 2), mutation=MUTATIONS)
 def test_price_mutation_exits_0_or_2_with_one_error_line(fuzz_root, asset, row, field,
                                                          mutation):
-    kind, value = mutation
-    path = fuzz_root / "data" / f"{asset}.csv"
-    original = path.read_text()
-    lines = original.splitlines()
-    fields = lines[row].split(",")
-    if kind == "drop":
-        del fields[field]
-    elif kind == "add":
-        fields.insert(field, value)
-    elif kind == "set":
-        fields[field] = value
-    else:
-        fields[field] = fields[field][:value] + '"' + fields[field][value:]
-    lines[row] = ",".join(fields)
     (fuzz_root / "data" / "sentiment.csv").write_text(
         "\n".join([HEADER] + [",".join(r) for r in SMALL_SENTIMENT]) + "\n")
+    with _line_mutated(fuzz_root / "data" / f"{asset}.csv", row + 1, field, mutation):
+        _exits_0_or_2_with_one_error_line(fuzz_root, "ingest")
+
+
+@contextlib.contextmanager
+def _line_mutated(path, lineno, field, mutation):
+    """``path`` with one MUTATIONS change to field ``field`` of line
+    ``lineno``, restored on exit."""
+    original = path.read_text()
+    lines = original.splitlines()
+    lines[lineno - 1] = ",".join(_mutated(lines[lineno - 1].split(","), field, mutation))
     path.write_text("\n".join(lines) + "\n")
-    err = io.StringIO()
     try:
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = run(fuzz_root, "ingest")
+        yield
     finally:
         path.write_text(original)
-    lines = err.getvalue().splitlines()
-    assert code in (0, 2), lines
-    assert lines == [] if code == 0 else (len(lines) == 1 and lines[0].startswith("error: "))
-    assert not caught, [str(w.message) for w in caught]
+
+
+AUDIT_ROWS = ["good,Positive", "bad,Negative", ",Neutral", "very great,Positive",
+              "not awful,Positive", "awful open,Negative", "flat,Neutral"]
+
+
+@pytest.fixture(scope="module")
+def chain_root(tmp_path_factory):
+    """A workspace run through ingest and backtest, with a longer audit file."""
+    root = populate(tmp_path_factory.mktemp("chain"), THREE_ASSETS)
+    (root / "audit.csv").write_text("\n".join(["text,label"] + AUDIT_ROWS) + "\n")
+    for command in ("ingest", "backtest"):
+        assert run(root, command) == 0, command
+    return root
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(3, 102), field=st.integers(0, 18), mutation=MUTATIONS)
+def test_panel_mutation_exits_0_or_2_with_one_error_line(chain_root, row, field, mutation):
+    with _line_mutated(chain_root / "out" / "panel.csv", row, field, mutation):
+        _exits_0_or_2_with_one_error_line(chain_root, "train")
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(2, len(AUDIT_ROWS) + 1), field=st.integers(0, 1), mutation=MUTATIONS)
+def test_audit_mutation_exits_0_or_2_with_one_error_line(chain_root, row, field, mutation):
+    with _line_mutated(chain_root / "audit.csv", row, field, mutation):
+        _exits_0_or_2_with_one_error_line(chain_root, "audit")
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(3, 22), field=st.integers(0, 5), mutation=MUTATIONS)
+def test_wealth_curve_mutation_exits_0_or_2_with_one_error_line(chain_root, row, field,
+                                                                mutation):
+    with _line_mutated(chain_root / "out" / "wealth_curves.csv", row, field, mutation):
+        _exits_0_or_2_with_one_error_line(chain_root, "report")
