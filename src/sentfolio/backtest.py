@@ -115,6 +115,8 @@ def sharpe_vs_bh(strategy_returns, bh_returns) -> float:
         raise DegenerateInputError("benchmark return stream has zero variance")
     mean_ratio = float(np.mean(r_p[keep] / r_bh[keep]))
     sigma_p = float(r_p.std(ddof=1))
+    if sigma_p == 0.0:
+        raise DegenerateInputError("strategy return stream has zero variance")
     return mean_ratio / (sigma_p / sigma_bh)
 
 
@@ -141,15 +143,23 @@ def annualized_return(
 def performance_report(
     strategy: str, curve: WealthCurve, bh_curve: WealthCurve
 ) -> PerfReport:
-    return PerfReport(
-        strategy=strategy,
-        final_capital=curve.final_capital,
-        fapv=fapv(curve),
-        bv=benchmark_value(curve, bh_curve),
-        sharpe_vs_bh=sharpe_vs_bh(curve.simple_returns(), bh_curve.simple_returns()),
-        mdd=max_drawdown(curve),
-        annualized_return=annualized_return(curve),
-    )
+    """The metric row of ``strategy``.  A metric that is undefined on these
+    curves, or overflows a float, is a DegenerateInputError naming it."""
+    try:
+        with np.errstate(over="raise"):
+            return PerfReport(
+                strategy=strategy,
+                final_capital=curve.final_capital,
+                fapv=fapv(curve),
+                bv=benchmark_value(curve, bh_curve),
+                sharpe_vs_bh=sharpe_vs_bh(curve.simple_returns(), bh_curve.simple_returns()),
+                mdd=max_drawdown(curve),
+                annualized_return=annualized_return(curve),
+            )
+    except (FloatingPointError, OverflowError) as exc:
+        raise DegenerateInputError(f"{strategy}: a metric overflows ({exc.args[-1]})") from exc
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"{strategy}: {exc}") from exc
 
 
 def compare_strategies(

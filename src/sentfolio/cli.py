@@ -14,7 +14,9 @@ import datetime as dt
 import hashlib
 import json
 import math
+import operator
 import sys
+from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -29,12 +31,12 @@ from .errors import (
     ConfigurationError,
     DegenerateInputError,
     DegenerateMarketError,
-    DimensionError,
     InsufficientDataError,
     ParseError,
     SentfolioError,
     SingularDesignError,
     ValidationError,
+    undecodable,
 )
 from .csvfile import read_csv
 from .forecast_lstm import LstmConfig, save_checkpoint
@@ -53,7 +55,7 @@ from .portfolio_opt import (
     frontier_samples,
     mean_variance_select,
 )
-from .stats import granger, pearson
+from .stats import granger, paired_t_test, pearson
 
 USER_ERRORS = (
     ConfigurationError,
@@ -62,39 +64,35 @@ USER_ERRORS = (
     AlignmentError,
     InsufficientDataError,
     FileNotFoundError,
+    IsADirectoryError,
 )
 
 REPORT_HEADER = ["Models", "Capital", "fAPV", "BV", "SR", "MDD(%)", "AR(%)"]
 
 
+def _key(name: str, kind: type, default=None, bound: str | None = None):
+    """A RunConfig field that the YAML key ``name`` sets; KEYS holds its
+    type, default and bound.  The field has no default of its own."""
+    return field(metadata={"key": name, "spec": (kind, default, bound)})
+
+
 @dataclass
 class RunConfig:
-    assets: list[str]
-    data_dir: Path
-    out_dir: Path
-    sentiment_file: Path | None = None
-    lexicon_file: Path | None = None
-    audit_file: Path | None = None
-    split: SplitSpec = field(default_factory=SplitSpec)
-    lstm: LstmConfig = field(default_factory=LstmConfig)
-    mc_count: int = DEFAULT_SAMPLE_COUNT
-    mc_seed: int = 0
-    cov_window: int = DEFAULT_COV_WINDOW
-    initial_capital: float = DEFAULT_INITIAL_CAPITAL
-    max_lag: int = 8
-    replicate_seeds: list[int] = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, value, low in (("monte_carlo.count", self.mc_count, 1),
-                                 ("monte_carlo.seed", self.mc_seed, 0),
-                                 ("cov_window", self.cov_window, 2),
-                                 ("max_lag", self.max_lag, 1),
-                                 ("replicate_seeds", min(self.replicate_seeds, default=0), 0)):
-            if value < low:
-                raise ConfigurationError(f"{name} must be >= {low}, got {value}")
-        if not self.initial_capital > 0:
-            raise ConfigurationError(f"initial_capital must be positive, got {self.initial_capital}")
+    assets: list[str] = _key("assets", list[str], [])
+    data_dir: Path = _key("data_dir", Path, ".", "exists")
+    out_dir: Path = _key("out_dir", Path, "out")
+    sentiment_file: Path | None = _key("sentiment_file", Path, None, "exists")
+    lexicon_file: Path | None = _key("lexicon_file", Path, None, "exists")
+    audit_file: Path | None = _key("audit_file", Path, None, "exists")
+    split: SplitSpec
+    lstm: LstmConfig
+    mc_count: int = _key("monte_carlo.count", int, DEFAULT_SAMPLE_COUNT, ">= 1")
+    mc_seed: int = _key("monte_carlo.seed", int, 0, ">= 0")
+    cov_window: int = _key("cov_window", int, DEFAULT_COV_WINDOW, ">= 2")
+    initial_capital: float = _key("initial_capital", float, DEFAULT_INITIAL_CAPITAL, "> 0")
+    max_lag: int = _key("max_lag", int, 8, ">= 1")
+    replicate_seeds: list[int] = _key("replicate_seeds", list[int], [], ">= 0")
+    raw: dict
 
     @property
     def seed(self) -> int:
@@ -108,107 +106,110 @@ class RunConfig:
         return f"# config={self.hash()} seed={self.seed}"
 
 
-def _number(value, name: str, kind: type):
-    """``value`` unchanged if it is a finite YAML number of ``kind``; an int
-    also passes as a float, a bool passes as neither."""
+# Every key a run config accepts, by dotted name.  A bound is ">= n" or "> n"
+# on a number or on each entry of a list, or "exists" on a path.  SplitSpec
+# and LstmConfig check the bounds of the split.* and lstm.* keys themselves.
+Key = namedtuple("Key", "field kind default bound")
+KEYS = {
+    **{f.metadata["key"]: Key(f.name, *f.metadata["spec"]) for f in fields(RunConfig) if f.metadata},
+    **{f"split.{f.name.removesuffix('_frac')}": Key(f.name, float, f.default, None)
+       for f in fields(SplitSpec)},
+    **{f"lstm.{f.name}": Key(f.name, type(f.default), f.default, None) for f in fields(LstmConfig)},
+}
+SECTIONS = {key.split(".")[0] for key in KEYS if "." in key}
+BOUNDS = {">=": operator.ge, ">": operator.gt}
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe YAML loader, refusing a key that a mapping repeats."""
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep)
+        keys = [self.construct_object(key_node) for key_node, _ in node.value]
+        for i, (key_node, _) in enumerate(node.value):
+            if keys[i] in keys[:i]:
+                raise yaml.constructor.ConstructorError(
+                    None, None, f"repeated key {keys[i]!r}", key_node.start_mark)
+        return mapping
+
+
+def _given(mapping: dict, prefix: str = ""):
+    """(dotted key, value) for each key ``mapping`` sets; unknown keys are refused."""
+    for key, value in mapping.items():
+        name = f"{prefix}{key}"
+        if name in SECTIONS:
+            if value is not None and not isinstance(value, dict):
+                raise ConfigurationError(f"{name} must be a mapping, got {value!r}")
+            yield from _given(value or {}, f"{name}.")
+        elif name in KEYS and "." not in str(key):  # a key "a.b" is not section a's b
+            yield name, value
+        else:
+            raise ConfigurationError(f"unknown key {name}")
+
+
+def _checked(key: str, value, kind: type, bound: str | None, base: Path):
+    """``value`` of ``key`` as its field holds it, meeting ``bound``: a path
+    resolved against ``base``, names, distinct seeds, or a finite number (an
+    int passes as a float, a bool as neither)."""
+    if kind is Path:
+        if not isinstance(value, str) or "\0" in value:
+            raise ConfigurationError(f"{key} must be a path, got {value!r}")
+        resolved = (base / value).resolve()
+        if bound and not resolved.exists():
+            raise ConfigurationError(f"{key} does not exist: {resolved}")
+        return resolved
+    if kind == list[str]:
+        if not value or not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigurationError(f"{key} must be a list of one or more names, got {value!r}")
+        return value
+    if kind == list[int]:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{key} must be a list, got {value!r}")
+        seeds = [_checked(key, v, int, bound, base) for v in value]
+        if len(seeds) == 1 or len(set(seeds)) < len(seeds):
+            raise ConfigurationError(f"{key} must hold 0 or 2+ distinct seeds, got {seeds}")
+        return seeds
     ok = isinstance(value, int if kind is int else (int, float))
     if isinstance(value, bool) or not ok or not math.isfinite(value):
         what = "an integer" if kind is int else "a number"
-        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+        raise ConfigurationError(f"{key} must be {what}, got {value!r}")
+    if bound and not BOUNDS[bound.split()[0]](value, float(bound.split()[1])):
+        raise ConfigurationError(f"{key} must be {bound}, got {value}")
     return value
-
-
-def _section(raw: dict, key: str) -> dict:
-    value = {} if raw.get(key) is None else raw[key]
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{key} must be a mapping, got {value!r}")
-    return dict(value)
 
 
 def load_config(path: str | Path, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
-    """Parse a YAML run configuration. Absent keys take the dataclass
-    defaults; a key of the wrong type or out of range is a
-    ConfigurationError that names it."""
+    """Parse a YAML run configuration: a key absent from it takes its KEYS default; a
+    repeated or unknown key, or a bad value, is a ConfigurationError naming it."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"config file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text()) or {}
-    except yaml.YAMLError as exc:
+        raw = yaml.load(path.read_text(encoding="utf-8"), _UniqueKeyLoader) or {}
+    except UnicodeDecodeError as exc:
+        raise undecodable(path) from exc
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date such as 2015-13-02
         mark = getattr(exc, "problem_mark", None)
         where = f":{mark.line + 1}" if mark is not None else ""
-        raise ConfigurationError(f"{path}{where}: malformed YAML") from exc
-    if not isinstance(raw, dict) or not raw.get("assets"):
-        raise ConfigurationError("config must list assets")
-    assets = raw["assets"]
-    if not isinstance(assets, list) or not all(isinstance(a, str) for a in assets):
-        raise ConfigurationError(f"assets must be a list of names, got {assets!r}")
-    base = path.parent
-
-    def respath(key, default=None):
-        value = default if raw.get(key) is None else raw[key]
-        if value is None:
-            return None
-        if not isinstance(value, str):
-            raise ConfigurationError(f"{key} must be a path, got {value!r}")
-        return (base / value).resolve()
-
-    split_raw = _section(raw, "split")
-    split = SplitSpec(**{f"{k}_frac": _number(split_raw[k], f"split.{k}", float)
-                         for k in ("train", "val", "test") if k in split_raw})
-    lstm_raw = _section(raw, "lstm")
+        why = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ConfigurationError(f"{path}{where}: malformed YAML: {why}") from exc
+    given = dict(_given(raw if isinstance(raw, dict) else {}))
+    top, nested = {}, {"split": {}, "lstm": {}}
+    for key, (name, kind, default, bound) in KEYS.items():
+        value = default if given.get(key) is None else given[key]
+        value = None if value is None else _checked(key, value, kind, bound, path.parent)
+        nested.get(key.split(".")[0], top)[name] = value
+    n = len(top["assets"])
     if seed_override is not None:
-        lstm_raw["seed"] = seed_override
-        raw = dict(raw, lstm=dict(lstm_raw))
-    kinds = {f.name: type(f.default) for f in fields(LstmConfig)}
-    unknown = sorted(set(lstm_raw) - set(kinds))
-    if unknown:
-        raise ConfigurationError(f"unknown lstm key(s): {', '.join(unknown)}")
-    for key, value in lstm_raw.items():
-        _number(value, f"lstm.{key}", kinds[key])
-    derived = {"input_width": len(assets) * len(FEATURE_NAMES), "n_outputs": len(assets)}
-    for key, value in derived.items():
-        if lstm_raw.setdefault(key, value) != value:
-            raise ConfigurationError(
-                f"lstm.{key} is {lstm_raw[key]}, but {len(assets)} assets need {value}"
-            )
-    try:
-        lstm = LstmConfig(**lstm_raw)
-    except DimensionError as exc:
-        raise ConfigurationError(f"lstm: {exc}") from exc
-    mc = _section(raw, "monte_carlo")
-    settings = {}
-    for section, key, name, kind in ((mc, "count", "mc_count", int),
-                                     (mc, "seed", "mc_seed", int),
-                                     (raw, "cov_window", "cov_window", int),
-                                     (raw, "initial_capital", "initial_capital", float),
-                                     (raw, "max_lag", "max_lag", int)):
-        if key in section:
-            label = f"monte_carlo.{key}" if section is mc else key
-            settings[name] = _number(section[key], label, kind)
-    seeds = [] if raw.get("replicate_seeds") is None else raw["replicate_seeds"]
-    if not isinstance(seeds, list):
-        raise ConfigurationError(f"replicate_seeds must be a list, got {seeds!r}")
-    cfg = RunConfig(
-        assets=assets,
-        data_dir=respath("data_dir", "."),
-        out_dir=Path(out_override).resolve() if out_override else respath("out_dir", "out"),
-        sentiment_file=respath("sentiment_file"),
-        lexicon_file=respath("lexicon_file"),
-        audit_file=respath("audit_file"),
-        split=split,
-        lstm=lstm,
-        replicate_seeds=[_number(s, "replicate_seeds", int) for s in seeds],
-        raw=raw,
-        **settings,
-    )
-    if not cfg.data_dir.exists():
-        raise ConfigurationError(f"data_dir does not exist: {cfg.data_dir}")
-    for p in (cfg.sentiment_file, cfg.lexicon_file, cfg.audit_file):
-        if p is not None and not p.exists():
-            raise ConfigurationError(f"configured path does not exist: {p}")
-    return cfg
+        nested["lstm"]["seed"] = seed_override
+        raw = dict(raw, lstm=dict(raw.get("lstm") or {}, seed=seed_override))
+    for key, need in (("lstm.input_width", n * len(FEATURE_NAMES)), ("lstm.n_outputs", n)):
+        if given.get(key) not in (None, need):
+            raise ConfigurationError(f"{key} is {given[key]}, but {n} assets need {need}")
+        nested["lstm"][KEYS[key].field] = need
+    if out_override:
+        top["out_dir"] = Path(out_override).resolve()
+    return RunConfig(**top, split=SplitSpec(**nested["split"]),
+                     lstm=LstmConfig(**nested["lstm"]), raw=raw)
 
 
 # -- artifact persistence ---------------------------------------------------
@@ -423,7 +424,7 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
             for i, d in enumerate(dates)]
     _write_csv(curves_path, cfg, ["date"] + names, rows)
 
-    if len(cfg.replicate_seeds) >= 2:
+    if cfg.replicate_seeds:
         rep_rows = []
         for seed in cfg.replicate_seeds:
             seeded = LstmConfig(**dict(cfg.lstm.__dict__, seed=seed))
@@ -488,21 +489,22 @@ def cmd_report(cfg: RunConfig) -> int:
         )
         for i, name in enumerate(names)
     }
-    replicate_capitals = None
+    try:
+        reports, _ = compare_strategies(curves, bh_name=pipeline.STRATEGY_BUY_HOLD)
+    except DegenerateInputError as exc:
+        raise ValidationError(f"{curves_path}: {exc}") from exc
+    ttest = None
     rep_path = cfg.out_dir / "replicates.csv"
     if rep_path.exists():
         rep_names, _, rep_rows = _read_artifact_csv(
             rep_path, ("seed", "lstm_sentiment_final", "lstm_final"), int)
         with_sent = rep_names.index("lstm_sentiment_final")
         without_sent = rep_names.index("lstm_final")
-        replicate_capitals = (
-            [r[with_sent] for r in rep_rows],
-            [r[without_sent] for r in rep_rows],
-        )
-    reports, ttest = compare_strategies(
-        curves, bh_name=pipeline.STRATEGY_BUY_HOLD,
-        replicate_capitals=replicate_capitals,
-    )
+        try:
+            ttest = paired_t_test([r[with_sent] for r in rep_rows],
+                                  [r[without_sent] for r in rep_rows])
+        except (DegenerateInputError, InsufficientDataError) as exc:
+            raise ValidationError(f"{rep_path}: {exc}") from exc
     table_rows = [
         [r.strategy, f"{r.final_capital:.2f}", f"{r.fapv:.2f}", f"{r.bv:.2f}",
          f"{r.sharpe_vs_bh:.2f}", f"{100 * r.mdd:.2f}",

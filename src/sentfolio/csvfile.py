@@ -5,7 +5,8 @@ and an artifact's ``# config=`` stamp line, which still counts in line
 numbers.  It refuses a header that lacks a required column, a row whose
 width differs from the header's, a record that spans lines in a file whose
 texts may not hold line breaks, and whatever ``csv`` refuses, such as an
-unterminated quote or a field over ``csv.field_size_limit()`` characters.
+unterminated quote or a field over ``csv.field_size_limit()`` characters,
+and a file that is not UTF-8.
 Each refusal is one ParseError that names the record's first file line.
 """
 
@@ -16,7 +17,7 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ParseError, undecodable
 
 Records = Iterator[tuple[int, list[str]]]
 
@@ -30,10 +31,8 @@ def read_csv(path: str | Path, required: tuple[str, ...], *, stamped: bool = Fal
     ``required`` names the columns the header must hold, ``stamped`` says
     line 1 is a stamp, and ``multiline`` lets quoted fields hold line breaks.
     """
-    with open(path, newline="") as fh:
-        if stamped:
-            fh.readline()
-        records = _records(path, csv.reader(fh, strict=True), int(stamped), multiline)
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = _records(path, fh, stamped, multiline)
         line, header = next(records, (1 + stamped, []))
         if not set(required).issubset(header):
             *rest, last = required
@@ -42,12 +41,15 @@ def read_csv(path: str | Path, required: tuple[str, ...], *, stamped: bool = Fal
         yield header, records
 
 
-def _records(path, reader, offset: int, multiline: bool) -> Records:
-    """The header, then each row of its width, with its first file line;
-    ``offset`` lines were read before ``reader`` started."""
+def _records(path, fh, stamped: bool, multiline: bool) -> Records:
+    """The header, then each row of its width, with its first file line."""
+    offset = int(stamped)  # lines read before the csv reader starts
     end = offset  # the last file line of the previous record
     width = None  # the header's, once read
     try:
+        if stamped:
+            fh.readline()
+        reader = csv.reader(fh, strict=True)
         for row in reader:
             start, end = end + 1, reader.line_num + offset
             if end != start and not multiline:
@@ -65,3 +67,5 @@ def _records(path, reader, offset: int, multiline: bool) -> Records:
         spans = end != start and not multiline
         message = f"quoted field runs on to line {end}" if spans else exc
         raise ParseError(f"{path}:{start}: {message}") from exc
+    except UnicodeDecodeError as exc:
+        raise undecodable(path) from exc

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from pathlib import Path
+
 
 class SentfolioError(Exception):
     """Base class for all package errors."""
@@ -43,3 +45,16 @@ class DivergenceError(SentfolioError):
 
 class DegenerateMarketError(SentfolioError):
     """All sampled portfolios have (near-)zero volatility."""
+
+
+def undecodable(path) -> ParseError:
+    """The ParseError for a file that is not UTF-8, naming the line of its
+    first bad byte.  A text stream decodes in chunks, so its
+    UnicodeDecodeError does not locate the byte; the file is read again."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return ParseError(f"{path}:{line}: not UTF-8 ({exc.reason} 0x{data[exc.start]:02x})")
+    return ParseError(f"{path}: not UTF-8")

@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, InsufficientDataError, SentfolioError
+from .errors import (ConfigurationError, DimensionError, DivergenceError,
+                     InsufficientDataError, SentfolioError)
 from .market_data import AlignedPanel
 
 ADAM_BETA1 = 0.9
@@ -60,11 +61,11 @@ class LstmConfig:
         for name in ("input_width", "hidden_size", "num_layers", "n_outputs",
                      "window", "batch_size", "epochs"):
             if getattr(self, name) < 1:
-                raise DimensionError(f"{name} must be >= 1")
+                raise ConfigurationError(f"lstm.{name} must be >= 1")
         if not self.learning_rate > 0:
-            raise DimensionError("learning_rate must be positive")
+            raise ConfigurationError("lstm.learning_rate must be positive")
         if self.seed < 0:
-            raise DimensionError("seed must be >= 0")
+            raise ConfigurationError("lstm.seed must be >= 0")
 
 
 @dataclass

@@ -34,7 +34,7 @@ from statistics import median
 import numpy as np
 
 from .csvfile import read_csv
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, undecodable
 
 POSITIVE = "Positive"
 NEGATIVE = "Negative"
@@ -90,18 +90,22 @@ class Lexicon:
     def from_file(cls, path: str | Path) -> "Lexicon":
         """Load ``token<TAB>valence`` lines; blank lines and # comments skipped."""
         valences: dict[str, float] = {}
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ParseError(f"{path}:{lineno}: expected token<TAB>valence")
-                try:
-                    valences[parts[0].lower()] = float(parts[1])
-                except ValueError as exc:
-                    raise ParseError(f"{path}:{lineno}: bad valence {parts[1]!r}") from exc
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise undecodable(path) from exc
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ParseError(f"{path}:{lineno}: expected token<TAB>valence")
+            try:
+                valences[parts[0].lower()] = float(parts[1])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: bad valence {parts[1]!r}") from exc
         return cls(valences=valences)
 
 

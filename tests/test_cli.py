@@ -3,11 +3,13 @@ import datetime as dt
 import io
 import json
 import warnings
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
-from sentfolio.cli import REPORT_HEADER, load_config, main, read_panel
+from sentfolio.cli import KEYS, REPORT_HEADER, load_config, main, read_panel
 from sentfolio.synthetic import write_market_csv
 
 LEXICON = "good\t0.5\ngreat\t0.8\nbad\t-0.5\nawful\t-0.8\n"
@@ -296,6 +298,16 @@ def _data_lines(name, lineno, *new_lines):
     return corrupt
 
 
+def _non_utf8(name, lineno):
+    """Put a 0xff byte at the start of line ``lineno`` of ``name``."""
+    def corrupt(root):
+        path = root / name
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        path.write_bytes(b"".join(lines))
+    return corrupt
+
+
 def _out_files(**texts):
     """Write each ``name=text`` as the artifact ``out/<name>.csv``."""
     def corrupt(root):
@@ -326,6 +338,13 @@ REPLICATES = STAMP + """\
 seed,lstm_sentiment_final,lstm_final
 1,10100.0,10050.0
 2,10200.0,10010.0
+"""
+FLAT_BENCHMARK = STAMP + """\
+date,Buy and Hold,LSTM
+2015-01-02,10000.0,10000.0
+2015-01-05,10000.0,9950.0
+2015-01-06,10000.0,10020.0
+2015-01-07,10000.0,10110.0
 """
 FIELD_LIMIT = 131_072  # csv.field_size_limit() by default
 MONTE_CARLO = "monte_carlo:\n  count: 300\n  seed: 0\n"
@@ -448,6 +467,50 @@ BAD_INPUTS = {
         "audit.csv:3: unknown true label 'Negatve'"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
+    "misspelled replicate_seeds": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nreplicate_seed: [1, 2]"),
+        "unknown key replicate_seed"),
+    "misspelled monte_carlo count": (
+        "ingest", _config_edit("count: 300", "cuont: 300"), "unknown key monte_carlo.cuont"),
+    "misspelled split fraction": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nsplit: {tarin: 0.5}"),
+        "unknown key split.tarin"),
+    "misspelled max_lag": ("ingest", _config_edit("max_lag: 2", "max_lags: 2"), "unknown key max_lags"),
+    "misspelled cov_window": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\ncov_windw: 3"), "unknown key cov_windw"),
+    "misspelled lexicon_file": (
+        "ingest", _config_edit("lexicon_file:", "lexicon_fle:"), "unknown key lexicon_fle"),
+    "repeated key": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nmax_lag: 3"),
+        "config.yaml:16: malformed YAML: repeated key 'max_lag'"),
+    "one replicate seed": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nreplicate_seeds: [1]"),
+        "replicate_seeds must hold 0 or 2+ distinct seeds, got [1]"),
+    "repeated replicate seed": (
+        "ingest", _config_edit("max_lag: 2", "max_lag: 2\nreplicate_seeds: [1, 1]"),
+        "replicate_seeds must hold 0 or 2+ distinct seeds, got [1, 1]"),
+    "benchmark that never moves": (
+        "report", _out_files(wealth_curves=FLAT_BENCHMARK),
+        "wealth_curves.csv: Buy and Hold: benchmark returns all below threshold"),
+    "replicate capitals with constant differences": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES,
+                             replicates=REPLICATES.replace("10010.0", "10150.0")),
+        "replicates.csv: zero-variance differences"),
+    "strategy that never moves": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES.replace(
+            "9950.0", "10000.0").replace("10020.0", "10000.0").replace("10110.0", "10000.0")),
+        "wealth_curves.csv: LSTM: strategy return stream has zero variance"),
+    "path holding a NUL character": (
+        "ingest", _config_edit("data_dir: data", 'data_dir: "da\\0ta"'),
+        "data_dir must be a path, got 'da\\x00ta'"),
+    "sentiment_file that is a directory": (
+        "ingest", _config_edit("data/sentiment.csv", "data"), "Is a directory"),
+    "capital that overflows a metric": (
+        "report", _out_files(wealth_curves=WEALTH_CURVES.replace("10110.0", "1e300")),
+        "wealth_curves.csv: LSTM: a metric overflows"),
+    "non-UTF-8 config": ("ingest", _non_utf8("config.yaml", 15), "config.yaml:15: not UTF-8"),
+    "non-UTF-8 lexicon": ("ingest", _non_utf8("lexicon.tsv", 3), "lexicon.tsv:3: not UTF-8"),
+    "non-UTF-8 price file": ("ingest", _non_utf8("data/BBB.csv", 90), "BBB.csv:90: not UTF-8"),
 }
 
 
@@ -619,3 +682,37 @@ def test_wealth_curve_mutation_exits_0_or_2_with_one_error_line(chain_root, row,
                                                                 mutation):
     with _line_mutated(chain_root / "out" / "wealth_curves.csv", row, field, mutation):
         _exits_0_or_2_with_one_error_line(chain_root, "report")
+
+
+CONFIG_LINES = THREE_ASSETS.splitlines()
+
+
+@pytest.fixture(scope="module")
+def config_root(tmp_path_factory):
+    return populate(tmp_path_factory.mktemp("config"), THREE_ASSETS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(0, len(CONFIG_LINES) - 1), field=st.integers(0, 1), mutation=MUTATIONS)
+def test_config_mutation_exits_0_or_2_with_one_error_line(config_root, row, field, mutation):
+    """One MUTATIONS change to the key (field 0) or the value (field 1) of
+    one line of the config."""
+    line = CONFIG_LINES[row]
+    indent = line[:len(line) - len(line.lstrip())]
+    key, _, value = line.strip().partition(":")
+    lines = list(CONFIG_LINES)
+    lines[row] = indent + ": ".join(_mutated([key, value.strip()], field, mutation))
+    (config_root / "config.yaml").write_text("\n".join(lines) + "\n")
+    _exits_0_or_2_with_one_error_line(config_root, "ingest")
+
+
+def test_readme_example_shows_every_key_with_its_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    shown = {}
+    for key, value in yaml.safe_load(readme.split("```yaml\n")[1].split("```")[0]).items():
+        shown.update({f"{key}.{k}": v for k, v in value.items()}
+                     if isinstance(value, dict) else {key: value})
+    assert sorted(shown) == sorted(KEYS)
+    exempt = {"assets", "replicate_seeds"} | {k for k, spec in KEYS.items() if spec.kind is Path}
+    assert ({k: v for k, v in shown.items() if k not in exempt}
+            == {k: spec.default for k, spec in KEYS.items() if k not in exempt})
