@@ -15,7 +15,10 @@ import hashlib
 import json
 import math
 import operator
+import os
 import sys
+import zipfile
+import zlib
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
@@ -68,6 +71,8 @@ USER_ERRORS = (
 )
 
 REPORT_HEADER = ["Models", "Capital", "fAPV", "BV", "SR", "MDD(%)", "AR(%)"]
+# The lexicon's labels of the sentiment file's unlabeled rows; see sentiment_table.
+LABELS_FILE = "labels.npz"
 
 
 def _key(name: str, kind: type, default=None, bound: str | None = None):
@@ -263,12 +268,84 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
         series.append(load_prices(path, asset_id=asset))
     daily = None
     if cfg.sentiment_file is not None:
-        lex = sentiment.Lexicon.from_file(cfg.lexicon_file) if cfg.lexicon_file else None
-        table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
+        table = sentiment_table(cfg)
         all_dates = sorted({d for s in series for d in s.dates})
         daily = {asset: sentiment.daily_features(table, asset, all_dates)
                  for asset in cfg.assets}
     return align_panel(series, daily)
+
+
+def sentiment_table(cfg: RunConfig) -> sentiment.SentimentTable:
+    """The sentiment file as a table, its unlabeled rows scored at most once
+    per file and lexicon.
+
+    With a lexicon, the labels of the unlabeled rows are kept in
+    ``out_dir/labels.npz`` under a key of the file's bytes, the lexicon and
+    ``sentiment.SCORER_VERSION``, and a later call reuses them.  A file that
+    is missing or unreadable, holds another key, or holds labels of the
+    wrong dtype, length or range is a miss: the rows are scored and the file
+    rewritten.  Either way one line on stdout says which it was."""
+    if cfg.lexicon_file is None:
+        return sentiment.load_sentiment_csv(cfg.sentiment_file)
+    lexicon = sentiment.Lexicon.from_file(cfg.lexicon_file)
+    path = cfg.out_dir / LABELS_FILE
+    key = _labels_key(cfg.sentiment_file, lexicon)
+    stored = _read_labels(path, key)
+    table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon, labels=stored)
+    rows = table.scored
+    n = int(rows.sum())
+    if stored is not None and len(stored[0]) == n:
+        print(f"labels: reused {n} from {LABELS_FILE}")
+    else:
+        _write_labels(path, key, table.label[rows], table.polarity[rows])
+        print(f"labels: scored {n}")
+    return table
+
+
+def _labels_key(sentiment_file: Path, lexicon: sentiment.Lexicon) -> str:
+    with open(sentiment_file, "rb") as fh:
+        content = hashlib.file_digest(fh, "sha256").hexdigest()
+    rules = json.dumps([sentiment.SCORER_VERSION, content, sorted(lexicon.valences.items()),
+                        sorted(lexicon.negations), sorted(lexicon.intensifiers.items())])
+    return hashlib.sha256(rules.encode()).hexdigest()
+
+
+def _read_labels(path: Path, key: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The label codes and polarities stored at ``path`` under ``key``, or
+    None when the file is missing, unreadable, under another key or holds
+    anything but int8 codes and float64 polarities of one length that the
+    loader would accept on a labeled row."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            def member(name: str) -> np.ndarray:
+                with archive.open(f"{name}.npy") as fh:
+                    return np.lib.format.read_array(fh, allow_pickle=False)
+
+            if str(member("key")) != key:
+                return None
+            codes, polarity = member("label"), member("polarity")
+    # zipfile raises NotImplementedError for an unknown compression method
+    # and RuntimeError for an encrypted member
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
+            NotImplementedError, RuntimeError, zlib.error):
+        return None
+    if (codes.dtype != np.int8 or polarity.dtype != np.float64 or codes.ndim != 1
+            or codes.shape != polarity.shape
+            or not sentiment.valid_labels(codes, polarity)):
+        return None
+    return codes, polarity
+
+
+def _write_labels(path: Path, key: str, codes: np.ndarray, polarity: np.ndarray) -> None:
+    """Write ``codes`` and ``polarity`` under ``key`` as an uncompressed .npz
+    whose members carry a fixed timestamp, so equal labels give equal bytes.
+    The file is written beside ``path`` and then renamed over it."""
+    partial = path.with_name(path.name + ".partial")
+    with zipfile.ZipFile(partial, "w") as archive:
+        for name, array in (("key", np.array(key)), ("label", codes), ("polarity", polarity)):
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+    os.replace(partial, path)
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: Iterable) -> None:
@@ -294,8 +371,7 @@ def cmd_label(cfg: RunConfig) -> int:
     if cfg.sentiment_file is None or cfg.lexicon_file is None:
         raise ConfigurationError("label requires sentiment_file and lexicon_file")
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    lex = sentiment.Lexicon.from_file(cfg.lexicon_file)
-    table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
+    table = sentiment_table(cfg)
     out = cfg.out_dir / "labeled.csv"
     _write_csv(out, cfg, list(sentiment.COLUMNS), table.csv_rows())
     print(f"labeled {len(table)} records -> {out}")
@@ -325,8 +401,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     panel = read_panel(cfg)
     if cfg.sentiment_file is None:
         raise ConfigurationError("analyze requires sentiment_file")
-    lex = sentiment.Lexicon.from_file(cfg.lexicon_file) if cfg.lexicon_file else None
-    table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon=lex)
+    table = sentiment_table(cfg)
 
     corr_rows = []
     for asset in panel.assets:

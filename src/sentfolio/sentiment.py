@@ -10,7 +10,9 @@ of columns, row i being line ``line[i]`` of the file:
 - ``label``: int8 codes into ``LABELS`` (0 Positive, 1 Negative, 2 Neutral);
 - ``polarity``: float64, in [-1, 1] with the sign its label implies;
 - ``engagement``: int64 ``[N, 3]``, the likes, retweets and comments counts,
-  each in [0, MAX_COUNT].
+  each in [0, MAX_COUNT];
+- ``scored``: bool, true for a row the file leaves unlabeled, whose label
+  and polarity come from the lexicon (None in a table built from columns).
 
 ``daily_features`` and ``weekly_windows`` aggregate one asset's rows with
 numpy and give results bit-identical to the per-row formulas: integer
@@ -27,6 +29,7 @@ import re
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 from pathlib import Path
 from statistics import median
@@ -54,6 +57,9 @@ NEUTRAL_BAND = 0.05
 NORM = 15.0
 # Weekly windows with fewer observations than this are flagged insufficient.
 MIN_WEEKLY_COUNT = 30
+# Version of label_text's rules: raise it when the label or polarity that
+# label_text gives any text changes, so that stored labels are not reused.
+SCORER_VERSION = 1
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -88,8 +94,13 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
-        """Load ``token<TAB>valence`` lines; blank lines and # comments skipped."""
+        """Load ``token<TAB>valence`` lines; blank lines and # comments skipped.
+
+        A ParseError names the line of a token that ``tokenize`` never yields
+        (so its valence would never count), a repeated token, or a valence
+        outside [-1, 1]; a file without entries is refused too."""
         valences: dict[str, float] = {}
+        first_line: dict[str, int] = {}
         try:
             with open(path, encoding="utf-8") as fh:
                 lines = list(fh)
@@ -102,10 +113,23 @@ class Lexicon:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ParseError(f"{path}:{lineno}: expected token<TAB>valence")
+            token = parts[0].lower()
+            if not _TOKEN_RE.fullmatch(token):
+                raise ParseError(f"{path}:{lineno}: {parts[0]!r} is not a token "
+                                 "(a run of a-z, 0-9 and ')")
+            if token in first_line:
+                raise ParseError(f"{path}:{lineno}: token {token!r} repeats line "
+                                 f"{first_line[token]}")
             try:
-                valences[parts[0].lower()] = float(parts[1])
+                valence = float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad valence {parts[1]!r}") from exc
+            if not -1.0 <= valence <= 1.0:
+                raise ParseError(f"{path}:{lineno}: valence {parts[1]!r} outside [-1, 1]")
+            valences[token] = valence
+            first_line[token] = lineno
+        if not valences:
+            raise ParseError(f"{path}: empty lexicon (no token<TAB>valence line)")
         return cls(valences=valences)
 
 
@@ -121,6 +145,7 @@ class SentimentTable:
     polarity: np.ndarray
     engagement: np.ndarray
     line: np.ndarray
+    scored: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.text)
@@ -328,14 +353,26 @@ def _count(field: str) -> int:
         return int(value)
 
 
+def _coherent(label: np.ndarray, polarity: np.ndarray) -> np.ndarray:
+    """True where ``polarity`` has the sign of its label code: above 0 for
+    Positive, below 0 for Negative, exactly 0 otherwise."""
+    return np.where(label == 0, polarity > 0, np.where(label == 1, polarity < 0, polarity == 0))
+
+
+def valid_labels(label: np.ndarray, polarity: np.ndarray) -> bool:
+    """Whether every ``label`` is a code into LABELS and every ``polarity``
+    lies in [-1, 1] with its label's sign, as on a row the loader accepts."""
+    return bool(np.all((label >= 0) & (label < len(LABELS)) & (np.abs(polarity) <= 1.0)
+                       & _coherent(label, polarity)))
+
+
 def _validate(path: Path, table: SentimentTable, unknown_label: str | None) -> None:
     """Raise a ParseError naming the first row with an unknown label, a
     label that disagrees with the sign of its polarity, a polarity outside
     [-1, 1], or a count that is negative or above MAX_COUNT."""
     label, pol, counts = table.label, table.polarity, table.engagement
     unknown = label == _UNKNOWN
-    coherent = np.where(label == 0, pol > 0, np.where(label == 1, pol < 0, pol == 0))
-    incoherent = ~coherent & ~unknown
+    incoherent = ~_coherent(label, pol) & ~unknown
     out_of_range = ~(np.abs(pol) <= 1.0)
     negative = (counts < 0).any(axis=1)
     too_large = (counts > MAX_COUNT).any(axis=1)
@@ -356,13 +393,18 @@ def _validate(path: Path, table: SentimentTable, unknown_label: str | None) -> N
     raise ParseError(f"{path}:{table.line[i]}: {message}")
 
 
-def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> SentimentTable:
+def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
+                       labels: tuple[np.ndarray, np.ndarray] | None = None) -> SentimentTable:
     """Read sentiment rows into one SentimentTable in a single pass.
 
     Columns (by header name, in any order): date, asset, and optionally
     text, label, polarity, likes, retweets and comments; an absent count
     column reads as 0.  A row with both label and polarity is taken as
-    labeled; label_text scores every other row, which needs ``lexicon``.
+    labeled; every other row needs ``lexicon``, and label_text scores them
+    after the pass, in file order.  ``labels``, a pair of label codes and
+    polarities such as ``(table.label[table.scored],
+    table.polarity[table.scored])`` of an earlier load of the same file and
+    lexicon, replaces that scoring when it holds one entry per unlabeled row.
     The file is read by ``csvfile.read_csv``, and texts may hold quoted line
     breaks.  A bad field is a ParseError that names the record's first file
     line.
@@ -370,6 +412,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
     path = Path(path)
     # per row: day, asset, likes, retweets, comments, line
     ints, label, polarity = array("q"), array("b"), array("d")
+    scored = array("b")
     text: list[str] = []
     ordinal: dict[str, int] = {}  # date field -> day ordinal
     code: dict[str, int] = {}  # asset field -> code
@@ -388,6 +431,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
             polarity=np.frombuffer(polarity, dtype=np.float64),
             engagement=columns[:, 2:5],
             line=columns[:, 5],
+            scored=np.frombuffer(scored, dtype=np.bool_),
         )
 
     with read_csv(path, ("date", "asset"), multiline=True) as (header, records):
@@ -395,6 +439,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
         i_date, i_asset = column["date"], column["asset"]
         i_text, i_label, i_pol = (column.get(c) for c in ("text", "label", "polarity"))
         i_counts = [column.get(c) for c in ENGAGEMENT]
+        neutral = _LABEL_CODES[NEUTRAL]
         if None in i_counts:
             def counts_of(row):
                 return tuple("" if i is None else row[i] for i in i_counts)
@@ -418,8 +463,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
                 elif lexicon is None:
                     raise ValueError("unlabeled row and no lexicon supplied")
                 else:
-                    name, p = label_text(t, lexicon)
-                    c = _LABEL_CODES[name]
+                    c = None  # labeled after the pass
                 try:
                     a = code[row[i_asset]]
                 except KeyError:
@@ -432,9 +476,12 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
                     likes, retweets, comments = _count(likes), _count(retweets), _count(comments)
                 ints.extend((d, a, likes, retweets, comments, line))
                 text.append(t)
+                scored.append(c is None)
+                if c is None:
+                    c, p = neutral, 0.0  # valid until the label is set
                 label.append(c)
                 polarity.append(p)
-        except (ParseError, ValueError, OverflowError, ValidationError) as exc:
+        except (ParseError, ValueError, OverflowError) as exc:
             # an earlier row may already be invalid: name the first bad row
             _validate(path, table(), unknown_label)
             if isinstance(exc, ParseError):
@@ -442,6 +489,14 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
             message = (f"engagement count above {MAX_COUNT}"  # a count beyond int64
                        if isinstance(exc, OverflowError) else exc)
             raise ParseError(f"{path}:{line}: {message}") from exc
+    rows = np.frombuffer(scored, dtype=np.bool_)
+    if labels is not None and len(labels[0]) == scored.count(True):
+        np.frombuffer(label, dtype=np.int8)[rows] = labels[0]
+        np.frombuffer(polarity, dtype=np.float64)[rows] = labels[1]
+    else:
+        for i in compress(range(len(scored)), scored):
+            name, polarity[i] = label_text(text[i], lexicon)
+            label[i] = _LABEL_CODES[name]
     result = table()
     _validate(path, result, unknown_label)
     return result

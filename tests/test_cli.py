@@ -2,14 +2,17 @@ import contextlib
 import datetime as dt
 import io
 import json
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
-from sentfolio.cli import KEYS, REPORT_HEADER, load_config, main, read_panel
+from sentfolio import sentiment
+from sentfolio.cli import KEYS, LABELS_FILE, REPORT_HEADER, load_config, main, read_panel
 from sentfolio.synthetic import write_market_csv
 
 LEXICON = "good\t0.5\ngreat\t0.8\nbad\t-0.5\nawful\t-0.8\n"
@@ -308,6 +311,10 @@ def _non_utf8(name, lineno):
     return corrupt
 
 
+def _lexicon(text):
+    return lambda root: (root / "lexicon.tsv").write_text(text)
+
+
 def _out_files(**texts):
     """Write each ``name=text`` as the artifact ``out/<name>.csv``."""
     def corrupt(root):
@@ -511,6 +518,19 @@ BAD_INPUTS = {
     "non-UTF-8 config": ("ingest", _non_utf8("config.yaml", 15), "config.yaml:15: not UTF-8"),
     "non-UTF-8 lexicon": ("ingest", _non_utf8("lexicon.tsv", 3), "lexicon.tsv:3: not UTF-8"),
     "non-UTF-8 price file": ("ingest", _non_utf8("data/BBB.csv", 90), "BBB.csv:90: not UTF-8"),
+    "lexicon token with a hyphen": (
+        "label", _lexicon(LEXICON + "bull-ish\t0.6\n"), "lexicon.tsv:5: 'bull-ish' is not a token"),
+    "lexicon token of two words": (
+        "label", _lexicon(LEXICON + "good day\t0.3\n"), "lexicon.tsv:5: 'good day' is not a token"),
+    "lexicon token holding a NUL byte": (
+        "label", _lexicon("go\0od\t0.5\n" + LEXICON), "lexicon.tsv:1: 'go\\x00od' is not a token"),
+    "repeated lexicon token": (
+        "label", _lexicon(LEXICON + "Good\t0.9\n"), "lexicon.tsv:5: token 'good' repeats line 1"),
+    "nan lexicon valence": (
+        "label", _lexicon(LEXICON.replace("good\t0.5", "good\tnan")),
+        "lexicon.tsv:1: valence 'nan' outside [-1, 1]"),
+    "lexicon holding only comments": (
+        "label", _lexicon("# token<TAB>valence\n\n# none yet\n"), "lexicon.tsv: empty lexicon"),
 }
 
 
@@ -635,12 +655,12 @@ def test_price_mutation_exits_0_or_2_with_one_error_line(fuzz_root, asset, row, 
 
 
 @contextlib.contextmanager
-def _line_mutated(path, lineno, field, mutation):
+def _line_mutated(path, lineno, field, mutation, sep=","):
     """``path`` with one MUTATIONS change to field ``field`` of line
-    ``lineno``, restored on exit."""
+    ``lineno``, its fields split by ``sep``, restored on exit."""
     original = path.read_text()
     lines = original.splitlines()
-    lines[lineno - 1] = ",".join(_mutated(lines[lineno - 1].split(","), field, mutation))
+    lines[lineno - 1] = sep.join(_mutated(lines[lineno - 1].split(sep), field, mutation))
     path.write_text("\n".join(lines) + "\n")
     try:
         yield
@@ -684,6 +704,31 @@ def test_wealth_curve_mutation_exits_0_or_2_with_one_error_line(chain_root, row,
         _exits_0_or_2_with_one_error_line(chain_root, "report")
 
 
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(1, LEXICON.count("\n")), field=st.integers(0, 1), mutation=MUTATIONS)
+def test_lexicon_mutation_exits_0_or_2_with_one_error_line(fuzz_root, row, field, mutation):
+    _write_small_sentiment(fuzz_root)
+    with _line_mutated(fuzz_root / "lexicon.tsv", row, field, mutation, sep="\t"):
+        _exits_0_or_2_with_one_error_line(fuzz_root, "label")
+
+
+REPLICATE_ROWS = ["1,10100.0,10050.0", "2,10200.0,10010.0", "3,9900.0,9950.0",
+                  "4,10300.0,10000.0"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.integers(2, len(REPLICATE_ROWS) + 2), field=st.integers(0, 2), mutation=MUTATIONS)
+def test_replicates_mutation_exits_0_or_2_with_one_error_line(chain_root, row, field, mutation):
+    path = chain_root / "out" / "replicates.csv"
+    path.write_text(STAMP + "\n".join(["seed,lstm_sentiment_final,lstm_final"]
+                                      + REPLICATE_ROWS) + "\n")
+    try:
+        with _line_mutated(path, row, field, mutation):
+            _exits_0_or_2_with_one_error_line(chain_root, "report")
+    finally:
+        path.unlink()
+
+
 CONFIG_LINES = THREE_ASSETS.splitlines()
 
 
@@ -716,3 +761,121 @@ def test_readme_example_shows_every_key_with_its_default():
     exempt = {"assets", "replicate_seeds"} | {k for k, spec in KEYS.items() if spec.kind is Path}
     assert ({k: v for k, v in shown.items() if k not in exempt}
             == {k: spec.default for k, spec in KEYS.items() if k not in exempt})
+
+
+# -- the label cache shared by ingest, label and analyze ---------------------
+
+CHAIN = ("ingest", "label", "analyze")
+UNLABELED = sum(1 for row in SMALL_SENTIMENT if not row[3])
+
+
+def _write_small_sentiment(root):
+    (root / "data" / "sentiment.csv").write_text(
+        "\n".join([HEADER] + [",".join(r) for r in SMALL_SENTIMENT]) + "\n")
+    return root
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_chain_scores_each_unlabeled_text_once(tmp_path, monkeypatch, capsys):
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    texts = []
+    label_text = sentiment.label_text
+    monkeypatch.setattr(sentiment, "label_text",
+                        lambda text, lexicon: texts.append(text) or label_text(text, lexicon))
+    for command in CHAIN:
+        assert run(root, command) == 0, command
+    assert len(texts) == UNLABELED
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("labels: ")] == [
+        f"labels: scored {UNLABELED}"] + [f"labels: reused {UNLABELED} from {LABELS_FILE}"] * 2
+
+
+EDITS = {
+    # line 4 is the first unlabeled row, "awful open"
+    "one text": lambda root: _set_field(root / "data" / "sentiment.csv", 4, 2, "great open"),
+    "one valence": lambda root: _edit(root / "lexicon.tsv", "good\t0.5", "good\t0.25"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_edit_rescores_as_in_a_fresh_directory(tmp_path, capsys, edit):
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    for command in CHAIN:
+        assert run(root, command) == 0, command
+    EDITS[edit](root)
+    capsys.readouterr()
+    for command in CHAIN:
+        assert run(root, command) == 0, command
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("labels: ")]
+    assert lines == [f"labels: scored {UNLABELED}"] + [
+        f"labels: reused {UNLABELED} from {LABELS_FILE}"] * 2
+    fresh = tmp_path / "fresh"
+    for command in CHAIN:
+        assert main([command, "--config", str(root / "config.yaml"), "--out", str(fresh)]) == 0
+    assert _outputs(root / "out") == _outputs(fresh)
+
+
+def _resaved(**change):
+    """Rewrite the .npz at ``path`` with ``change[name](array)`` in place of
+    each named member, or without the member when ``change[name]`` is None."""
+    def corrupt(path):
+        with np.load(path) as stored:
+            arrays = {name: stored[name] for name in stored.files}
+        for name, edit in change.items():
+            if edit is None:
+                del arrays[name]
+            else:
+                arrays[name] = edit(arrays[name])
+        np.savez(path, **arrays)
+    return corrupt
+
+
+def _first(value):
+    def change(array):
+        array = array.copy()
+        array[0] = value
+        return array
+    return change
+
+
+BAD_LABEL_FILES = {
+    "truncated": lambda path: path.write_bytes(path.read_bytes()[:300]),
+    "garbage": lambda path: path.write_bytes(b"not an npz file\n" * 20),
+    "empty": lambda path: path.write_bytes(b""),
+    "object arrays": _resaved(label=lambda a: a.astype(object)),
+    "one entry short": _resaved(label=lambda a: a[:-1], polarity=lambda a: a[:-1]),
+    "another key": _resaved(key=lambda k: np.array("0" * 64)),
+    "int64 codes": _resaved(label=lambda a: a.astype(np.int64)),
+    "code 3": _resaved(label=_first(3)),
+    "polarity 2": _resaved(polarity=_first(2.0)),
+    "polarities of the wrong sign": _resaved(polarity=lambda a: -a),
+    "no polarity member": _resaved(polarity=None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABEL_FILES))
+def test_bad_labels_file_is_scored_again(tmp_path, capsys, case):
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    for command in ("ingest", "label"):
+        assert run(root, command) == 0, command
+    before = _outputs(root / "out")
+    BAD_LABEL_FILES[case](artifact(root, LABELS_FILE))
+    capsys.readouterr()
+    assert run(root, "label") == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"labels: scored {UNLABELED}" in captured.out.splitlines()
+    assert _outputs(root / "out") == before
+
+
+def test_labels_file_is_byte_identical_across_fresh_runs(tmp_path, monkeypatch):
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    assert run(root, "ingest") == 0
+    a_day_later = time.time() + 86_400
+    monkeypatch.setattr(time, "time", lambda: a_day_later)
+    again = tmp_path / "again"
+    assert main(["ingest", "--config", str(root / "config.yaml"), "--out", str(again)]) == 0
+    assert (again / LABELS_FILE).read_bytes() == artifact(root, LABELS_FILE).read_bytes()

@@ -4,6 +4,7 @@ import math
 import re
 from dataclasses import dataclass
 from statistics import median
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -482,6 +483,27 @@ class TestTableOracle:
                         float_rows(expected.values()))
             assert_windows_bits(weekly_windows(loaded, asset, first, last),
                                 reference_weekly_windows(own, first, last))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(rows, max_size=40))
+    def test_stored_labels_replace_scoring(self, tmp_path_factory, generated):
+        path = tmp_path_factory.getbasetemp() / "stored.csv"
+        write_rows(path, [["2020-03-02", asset, text, label, pol, likes, retweets, comments]
+                          for _, asset, text, (label, pol), likes, retweets, comments
+                          in generated])
+        scored = load_sentiment_csv(path, ORACLE_LEXICON)
+        assert scored.scored.tolist() == [pol == "" for _, _, _, (_, pol), *_ in generated]
+        stored = (scored.label[scored.scored], scored.polarity[scored.scored])
+        with mock.patch("sentfolio.sentiment.label_text", side_effect=AssertionError):
+            reused = load_sentiment_csv(path, ORACLE_LEXICON, labels=stored)
+        # labels of another length are not used: the rows are scored
+        n = len(stored[0]) + 1
+        rescored = load_sentiment_csv(path, ORACLE_LEXICON,
+                                      labels=(np.zeros(n, dtype=np.int8), np.zeros(n)))
+        for table in (reused, rescored):
+            for column in ("day", "asset", "label", "polarity", "engagement", "line", "scored"):
+                assert_bits(getattr(table, column), getattr(scored, column))
+            assert table.text == scored.text
 
     @given(st.lists(st.sampled_from(TOKENS + ["extremely", "barely", "no"]), max_size=12))
     def test_label_text_matches_reference(self, tokens):
