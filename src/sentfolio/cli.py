@@ -284,17 +284,22 @@ def sentiment_table(cfg: RunConfig) -> sentiment.SentimentTable:
     ``sentiment.SCORER_VERSION``, and a later call reuses them.  A file that
     is missing or unreadable, holds another key, or holds labels of the
     wrong dtype, length or range is a miss: the rows are scored and the file
-    rewritten.  Either way one line on stdout says which it was."""
+    rewritten.  Either way one line on stdout says which it was.  A sentiment
+    file whose bytes change while it is read is an error, so that no labels
+    are kept or reused under the key of other content."""
     if cfg.lexicon_file is None:
         return sentiment.load_sentiment_csv(cfg.sentiment_file)
     lexicon = sentiment.Lexicon.from_file(cfg.lexicon_file)
     path = cfg.out_dir / LABELS_FILE
-    key = _labels_key(cfg.sentiment_file, lexicon)
+    digest = _sha256(cfg.sentiment_file)
+    key = _labels_key(digest, lexicon)
     stored = _read_labels(path, key)
     table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon, labels=stored)
+    if _sha256(cfg.sentiment_file) != digest:
+        raise ValidationError(f"{cfg.sentiment_file}: changed while read; run again")
     rows = table.scored
     n = int(rows.sum())
-    if stored is not None and len(stored[0]) == n:
+    if table.reused:
         print(f"labels: reused {n} from {LABELS_FILE}")
     else:
         _write_labels(path, key, table.label[rows], table.polarity[rows])
@@ -302,10 +307,16 @@ def sentiment_table(cfg: RunConfig) -> sentiment.SentimentTable:
     return table
 
 
-def _labels_key(sentiment_file: Path, lexicon: sentiment.Lexicon) -> str:
-    with open(sentiment_file, "rb") as fh:
-        content = hashlib.file_digest(fh, "sha256").hexdigest()
-    rules = json.dumps([sentiment.SCORER_VERSION, content, sorted(lexicon.valences.items()),
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _labels_key(digest: str, lexicon: sentiment.Lexicon) -> str:
+    rules = json.dumps([sentiment.SCORER_VERSION, digest, sorted(lexicon.valences.items()),
                         sorted(lexicon.negations), sorted(lexicon.intensifiers.items())])
     return hashlib.sha256(rules.encode()).hexdigest()
 
@@ -316,14 +327,15 @@ def _read_labels(path: Path, key: str) -> tuple[np.ndarray, np.ndarray] | None:
     anything but int8 codes and float64 polarities of one length that the
     loader would accept on a labeled row."""
     try:
-        with zipfile.ZipFile(path) as archive:
-            def member(name: str) -> np.ndarray:
-                with archive.open(f"{name}.npy") as fh:
-                    return np.lib.format.read_array(fh, allow_pickle=False)
-
-            if str(member("key")) != key:
+        # np.load given a path leaves it open when the archive is unreadable
+        with open(path, "rb") as fh:
+            stored = np.load(fh, allow_pickle=False)
+            if not isinstance(stored, np.lib.npyio.NpzFile):  # a lone .npy array
                 return None
-            codes, polarity = member("label"), member("polarity")
+            with stored:
+                if str(stored["key"]) != key:
+                    return None
+                codes, polarity = stored["label"], stored["polarity"]
     # zipfile raises NotImplementedError for an unknown compression method
     # and RuntimeError for an encrypted member
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,

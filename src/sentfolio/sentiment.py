@@ -12,7 +12,9 @@ of columns, row i being line ``line[i]`` of the file:
 - ``engagement``: int64 ``[N, 3]``, the likes, retweets and comments counts,
   each in [0, MAX_COUNT];
 - ``scored``: bool, true for a row the file leaves unlabeled, whose label
-  and polarity come from the lexicon (None in a table built from columns).
+  and polarity come from the lexicon (None in a table built from columns);
+- ``reused``: true when those rows took stored labels passed to the loader
+  instead of being scored.
 
 ``daily_features`` and ``weekly_windows`` aggregate one asset's rows with
 numpy and give results bit-identical to the per-row formulas: integer
@@ -146,6 +148,7 @@ class SentimentTable:
     engagement: np.ndarray
     line: np.ndarray
     scored: np.ndarray | None = None
+    reused: bool = False
 
     def __len__(self) -> int:
         return len(self.text)
@@ -404,7 +407,8 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
     after the pass, in file order.  ``labels``, a pair of label codes and
     polarities such as ``(table.label[table.scored],
     table.polarity[table.scored])`` of an earlier load of the same file and
-    lexicon, replaces that scoring when it holds one entry per unlabeled row.
+    lexicon, replaces that scoring when it holds one entry per unlabeled row;
+    the table's ``reused`` says whether it did.
     The file is read by ``csvfile.read_csv``, and texts may hold quoted line
     breaks.  A bad field is a ParseError that names the record's first file
     line.
@@ -419,7 +423,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
     assets: dict[str, int] = {}  # stripped asset name -> code
     unknown_label = None  # the first label outside LABELS
 
-    def table() -> SentimentTable:
+    def table(reused: bool = False) -> SentimentTable:
         n = len(polarity)  # appended last: rows read in full
         columns = np.frombuffer(ints, dtype=np.int64)[:6 * n].reshape(n, 6)
         return SentimentTable(
@@ -432,6 +436,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
             engagement=columns[:, 2:5],
             line=columns[:, 5],
             scored=np.frombuffer(scored, dtype=np.bool_),
+            reused=reused,
         )
 
     with read_csv(path, ("date", "asset"), multiline=True) as (header, records):
@@ -490,13 +495,14 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
                        if isinstance(exc, OverflowError) else exc)
             raise ParseError(f"{path}:{line}: {message}") from exc
     rows = np.frombuffer(scored, dtype=np.bool_)
-    if labels is not None and len(labels[0]) == scored.count(True):
+    reused = labels is not None and len(labels[0]) == scored.count(True)
+    if reused:
         np.frombuffer(label, dtype=np.int8)[rows] = labels[0]
         np.frombuffer(polarity, dtype=np.float64)[rows] = labels[1]
     else:
         for i in compress(range(len(scored)), scored):
             name, polarity[i] = label_text(text[i], lexicon)
             label[i] = _LABEL_CODES[name]
-    result = table()
+    result = table(reused)
     _validate(path, result, unknown_label)
     return result

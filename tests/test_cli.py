@@ -1,5 +1,6 @@
 import contextlib
 import datetime as dt
+import hashlib
 import io
 import json
 import time
@@ -841,6 +842,11 @@ def _first(value):
     return change
 
 
+def _lone_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(UNLABELED, dtype=np.int8))
+
+
 BAD_LABEL_FILES = {
     "truncated": lambda path: path.write_bytes(path.read_bytes()[:300]),
     "garbage": lambda path: path.write_bytes(b"not an npz file\n" * 20),
@@ -853,6 +859,7 @@ BAD_LABEL_FILES = {
     "polarity 2": _resaved(polarity=_first(2.0)),
     "polarities of the wrong sign": _resaved(polarity=lambda a: -a),
     "no polarity member": _resaved(polarity=None),
+    "a lone .npy array": _lone_npy,
 }
 
 
@@ -879,3 +886,32 @@ def test_labels_file_is_byte_identical_across_fresh_runs(tmp_path, monkeypatch):
     again = tmp_path / "again"
     assert main(["ingest", "--config", str(root / "config.yaml"), "--out", str(again)]) == 0
     assert (again / LABELS_FILE).read_bytes() == artifact(root, LABELS_FILE).read_bytes()
+
+
+def test_sentiment_file_changed_while_read_keeps_no_labels(tmp_path, monkeypatch, capsys):
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    assert run(root, "ingest") == 0
+    stored = artifact(root, LABELS_FILE).read_bytes()
+    load = sentiment.load_sentiment_csv
+
+    def load_after_an_edit(path, *args, **kwargs):
+        # the same number of unlabeled rows, one of them with another text
+        _set_field(path, 4, 2, "great open")
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(sentiment, "load_sentiment_csv", load_after_an_edit)
+    capsys.readouterr()
+    assert run(root, "label") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "sentiment.csv: changed while read" in err[0]
+    assert artifact(root, LABELS_FILE).read_bytes() == stored
+    assert not artifact(root, "labeled.csv").exists()
+
+
+def test_chain_runs_without_hashlib_file_digest(tmp_path, monkeypatch, capsys):
+    # hashlib.file_digest is new in Python 3.11; the package supports 3.10
+    monkeypatch.delattr(hashlib, "file_digest", raising=False)
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    for command in CHAIN:
+        assert run(root, command) == 0, command
+    assert f"labels: reused {UNLABELED} from {LABELS_FILE}" in capsys.readouterr().out

@@ -500,6 +500,7 @@ class TestTableOracle:
         n = len(stored[0]) + 1
         rescored = load_sentiment_csv(path, ORACLE_LEXICON,
                                       labels=(np.zeros(n, dtype=np.int8), np.zeros(n)))
+        assert reused.reused and not rescored.reused and not scored.reused
         for table in (reused, rescored):
             for column in ("day", "asset", "label", "polarity", "engagement", "line", "scored"):
                 assert_bits(getattr(table, column), getattr(scored, column))
