@@ -45,6 +45,7 @@ from .csvfile import read_csv
 from .forecast_lstm import LstmConfig, save_checkpoint
 from .market_data import (
     FEATURE_NAMES,
+    SENTIMENT_INDEX,
     AlignedPanel,
     SplitSpec,
     align_panel,
@@ -266,13 +267,14 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
         if not path.exists():
             raise ConfigurationError(f"missing asset file: {path}")
         series.append(load_prices(path, asset_id=asset))
-    daily = None
-    if cfg.sentiment_file is not None:
-        table = sentiment_table(cfg)
-        all_dates = sorted({d for s in series for d in s.dates})
-        daily = {asset: sentiment.daily_features(table, asset, all_dates)
-                 for asset in cfg.assets}
-    return align_panel(series, daily)
+    # a bad sentiment file is reported before an alignment error
+    table = None if cfg.sentiment_file is None else sentiment_table(cfg)
+    panel = align_panel(series)
+    if table is not None:
+        for a, asset in enumerate(panel.assets):
+            panel.values[:, a, SENTIMENT_INDEX] = sentiment.daily_features(
+                table, asset, panel.dates)
+    return panel
 
 
 def sentiment_table(cfg: RunConfig) -> sentiment.SentimentTable:
@@ -391,8 +393,9 @@ def cmd_label(cfg: RunConfig) -> int:
 
 
 def _weekly_stats_and_returns(panel: AlignedPanel, asset: str,
-                              table: sentiment.SentimentTable) -> tuple[list, list]:
-    """Per-week sentiment aggregates paired with the week's total return."""
+                              table: sentiment.SentimentTable) -> tuple[np.ndarray, list]:
+    """The weekly_windows rows of the weeks with two or more panel dates,
+    and each such week's total return."""
     first = panel.dates[0]
     weeks = sentiment.weekly_windows(table, asset, first, panel.dates[-1])
     rows: list[list[int]] = [[] for _ in weeks]
@@ -401,12 +404,12 @@ def _weekly_stats_and_returns(panel: AlignedPanel, asset: str,
     prices = np.asarray(panel.features[asset]["adj_close"])
     weekly_returns = []
     kept = []
-    for w, idx in zip(weeks, rows):
+    for k, idx in enumerate(rows):
         if len(idx) < 2:
             continue
         weekly_returns.append(float(prices[idx[-1]] / prices[idx[0]] - 1.0))
-        kept.append(w)
-    return kept, weekly_returns
+        kept.append(k)
+    return weeks[kept], weekly_returns
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -419,8 +422,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     for asset in panel.assets:
         weeks, weekly_returns = _weekly_stats_and_returns(panel, asset, table)
         row = [asset]
-        for attr in ("mean_pol", "max_pol", "median_pol", "ratio"):
-            series = [getattr(w, attr) for w in weeks]
+        for series in weeks.T.tolist():  # mean, max, median, ratio
             try:
                 row.append(f"{pearson(series, weekly_returns).statistic:.4f}")
             except SentfolioError:
@@ -511,6 +513,9 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
             for i, d in enumerate(dates)]
     _write_csv(curves_path, cfg, ["date"] + names, rows)
 
+    rep_path = cfg.out_dir / "replicates.csv"
+    # report reads replicates.csv when it exists: none may outlive its seeds
+    rep_path.unlink(missing_ok=True)
     if cfg.replicate_seeds:
         rep_rows = []
         for seed in cfg.replicate_seeds:
@@ -532,8 +537,7 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
                 repr(rep.curves[pipeline.STRATEGY_LSTM_SENTIMENT].final_capital),
                 repr(rep.curves[pipeline.STRATEGY_LSTM].final_capital),
             ])
-        _write_csv(cfg.out_dir / "replicates.csv", cfg,
-                   ["seed", "lstm_sentiment_final", "lstm_final"], rep_rows)
+        _write_csv(rep_path, cfg, ["seed", "lstm_sentiment_final", "lstm_final"], rep_rows)
     print(f"wrote {curves_path}")
     return 0
 

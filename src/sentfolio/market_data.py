@@ -23,7 +23,10 @@ from .errors import (
 FEATURE_NAMES = ("adj_close", "likes", "retweets", "comments", "volume", "ratio")
 PRICE_INDEX = FEATURE_NAMES.index("adj_close")
 
+# The sentiment features and the values of a day without sentiment rows;
+# SENTIMENT_INDEX holds their positions in FEATURE_NAMES, in this order.
 NEUTRAL_SENTIMENT = {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.0}
+SENTIMENT_INDEX = [FEATURE_NAMES.index(name) for name in NEUTRAL_SENTIMENT]
 
 
 @dataclass
@@ -169,15 +172,9 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     )
 
 
-def align_panel(
-    prices: list[PriceSeries],
-    daily_sentiment: dict[str, dict[dt.date, dict[str, float]]] | None = None,
-) -> AlignedPanel:
-    """Inner-join price series on shared dates and attach daily sentiment rows.
-
-    ``daily_sentiment[asset][date]`` may carry any of likes/retweets/comments/
-    ratio; missing assets, dates or keys fall back to neutral defaults
-    (engagements 0, ratio 1.0).
+def align_panel(prices: list[PriceSeries]) -> AlignedPanel:
+    """Inner-join price series on shared dates, with the neutral sentiment
+    values; a caller with sentiment writes ``values[:, a, SENTIMENT_INDEX]``.
     """
     if not prices:
         raise AlignmentError("no price series supplied")
@@ -190,21 +187,17 @@ def align_panel(
     if not common:
         raise AlignmentError("no dates shared by all assets")
     dates = sorted(common)
-    daily_sentiment = daily_sentiment or {}
-
     panel = AlignedPanel(
         dates=dates,
         assets=[p.asset_id for p in prices],
         values=np.empty((len(dates), len(prices), len(FEATURE_NAMES))),
     )
+    panel.values[:, :, SENTIMENT_INDEX] = list(NEUTRAL_SENTIMENT.values())
     for p, cols in zip(prices, panel.features.values()):
         index = {d: i for i, d in enumerate(p.dates)}
         rows = [index[d] for d in dates]
         cols["adj_close"][:] = [p.adj_close[i] for i in rows]
         cols["volume"][:] = [p.volume[i] for i in rows]
-        sent = daily_sentiment.get(p.asset_id, {})
-        for name, default in NEUTRAL_SENTIMENT.items():
-            cols[name][:] = [float(sent.get(d, {}).get(name, default)) for d in dates]
     return panel
 
 

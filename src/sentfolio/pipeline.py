@@ -17,7 +17,7 @@ from .backtest import (
 from .errors import ConfigurationError, InsufficientDataError
 from .forecast_lstm import LstmConfig, LstmModel, TrainReport, make_windows, predict_series, train
 from .market_data import (
-    FEATURE_NAMES, NEUTRAL_SENTIMENT, AlignedPanel, SplitSpec, split_chronological,
+    NEUTRAL_SENTIMENT, SENTIMENT_INDEX, AlignedPanel, SplitSpec, split_chronological,
 )
 from .portfolio_opt import (
     DEFAULT_COV_WINDOW,
@@ -56,8 +56,7 @@ def neutralize_sentiment(panel: AlignedPanel) -> AlignedPanel:
     """Copy of the panel with sentiment features forced to neutral defaults;
     this is the input of the non-sentiment LSTM variant."""
     values = panel.values.copy()
-    for name, default in NEUTRAL_SENTIMENT.items():
-        values[:, :, FEATURE_NAMES.index(name)] = default
+    values[:, :, SENTIMENT_INDEX] = list(NEUTRAL_SENTIMENT.values())
     return AlignedPanel(dates=list(panel.dates), assets=list(panel.assets), values=values)
 
 

@@ -16,11 +16,11 @@ of columns, row i being line ``line[i]`` of the file:
 - ``reused``: true when those rows took stored labels passed to the loader
   instead of being scored.
 
-``daily_features`` and ``weekly_windows`` aggregate one asset's rows with
-numpy and give results bit-identical to the per-row formulas: integer
-engagement sums converted to float once, the ``math.fsum`` mean, ``max`` and
-``statistics.median`` of each week's polarities in file order, and
-``sentiment_ratio`` of the label counts.
+``daily_features`` and ``weekly_windows`` aggregate one asset's rows into
+float arrays with numpy and give results bit-identical to the per-row
+formulas: integer engagement sums converted to float once, the ``math.fsum``
+mean, ``max`` and ``statistics.median`` of each week's polarities in file
+order, and ``sentiment_ratio`` of the label counts.
 """
 
 from __future__ import annotations
@@ -57,11 +57,9 @@ MAX_COUNT = 2**53
 NEUTRAL_BAND = 0.05
 # Squash constant: polarity = s / sqrt(s^2 + NORM) for raw valence sum s.
 NORM = 15.0
-# Weekly windows with fewer observations than this are flagged insufficient.
-MIN_WEEKLY_COUNT = 30
 # Version of label_text's rules: raise it when the label or polarity that
 # label_text gives any text changes, so that stored labels are not reused.
-SCORER_VERSION = 1
+SCORER_VERSION = 2
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -172,23 +170,6 @@ class SentimentTable:
                    *self.engagement.T.tolist())
 
 
-@dataclass
-class WeeklySentiment:
-    """Aggregate over a 7-calendar-day window for one asset."""
-
-    asset_id: str
-    window_start: dt.date
-    n_total: int
-    n_pos: int
-    n_neg: int
-    n_neu: int
-    mean_pol: float
-    max_pol: float
-    median_pol: float
-    ratio: float
-    sufficient: bool
-
-
 def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
@@ -223,14 +204,20 @@ def label_text(text: str, lexicon: Lexicon) -> tuple[str, float]:
 
     The raw valence sum s is squashed to s/sqrt(s^2 + 15) so polarity lies in
     [-1, 1]; scores inside the +-0.05 dead zone become Neutral (polarity 0 so
-    the label/sign invariant holds).
+    the label/sign invariant holds).  A sum too large to square scores +-1
+    by its sign, and a NaN sum (of +inf and -inf terms) scores Neutral.
     """
     if not lexicon.valences:
         raise ValidationError("empty lexicon")
     s = score_text(text, lexicon)
-    polarity = s / math.sqrt(s * s + NORM)
+    if -1e150 < s < 1e150:  # s * s is finite
+        polarity = s / math.sqrt(s * s + NORM)
+    elif s != s:  # NaN: a sum of +inf and -inf valences
+        return NEUTRAL, 0.0
+    else:  # the quotient rounds to +-1 from |s| = 4e8 on
+        polarity = 1.0 if s > 0 else -1.0
     # max(-1.0, min(1.0, polarity)) and abs(polarity) < NEUTRAL_BAND, without
-    # the builtin calls; the same result for every float, NaN included
+    # the builtin calls
     polarity = polarity if polarity < 1.0 else 1.0
     polarity = polarity if polarity > -1.0 else -1.0
     if -NEUTRAL_BAND < polarity < NEUTRAL_BAND:
@@ -238,38 +225,23 @@ def label_text(text: str, lexicon: Lexicon) -> tuple[str, float]:
     return (POSITIVE, polarity) if polarity > 0 else (NEGATIVE, polarity)
 
 
-def sentiment_ratio(n_pos: int, n_neg: int) -> float:
-    """Positive/negative count ratio with Laplace (+1/+1) smoothing."""
-    if n_pos < 0 or n_neg < 0:
+def sentiment_ratio(n_pos, n_neg):
+    """Positive/negative count ratio with Laplace (+1/+1) smoothing, of two
+    counts or of two arrays of counts; the quotient of integers is correctly
+    rounded either way."""
+    if np.any(np.less(n_pos, 0)) or np.any(np.less(n_neg, 0)):
         raise ValidationError("counts must be non-negative")
     return (n_pos + 1) / (n_neg + 1)
 
 
-def _window(asset: str, start: dt.date, counts: list[int], pols: list[float]) -> WeeklySentiment:
-    """Aggregate one week's label counts (Positive, Negative, Neutral) and
-    polarities, the latter in file order."""
-    n_pos, n_neg, n_neu = counts
-    return WeeklySentiment(
-        asset_id=asset,
-        window_start=start,
-        n_total=len(pols),
-        n_pos=n_pos,
-        n_neg=n_neg,
-        n_neu=n_neu,
-        mean_pol=math.fsum(pols) / len(pols) if pols else 0.0,
-        max_pol=max(pols) if pols else 0.0,
-        median_pol=median(pols) if pols else 0.0,
-        ratio=sentiment_ratio(n_pos, n_neg),
-        sufficient=len(pols) >= MIN_WEEKLY_COUNT,
-    )
-
-
 def weekly_windows(
     table: SentimentTable, asset: str, first_date: dt.date, last_date: dt.date
-) -> list[WeeklySentiment]:
-    """``asset``'s rows in non-overlapping 7-day blocks anchored at
-    first_date; the last block starts on or before last_date and keeps its
-    full seven days.  Rows outside the blocks are dropped."""
+) -> np.ndarray:
+    """The mean, max and median polarity and the ratio of ``asset``'s rows
+    in non-overlapping 7-day blocks anchored at first_date, one row per
+    block; the last block starts on or before last_date and keeps its full
+    seven days.  Rows outside the blocks are dropped, and a block without
+    rows gets 0, 0, 0, 1."""
     n_weeks = max(0, (last_date - first_date).days // 7 + 1)
     rows = table.rows_of(asset)
     week = (table.day[rows] - first_date.toordinal()) // 7
@@ -278,44 +250,36 @@ def weekly_windows(
     order = np.argsort(week[keep], kind="stable")
     rows, week = rows[keep][order], week[keep][order]
     counts = np.bincount(3 * week + table.label[rows], minlength=3 * n_weeks)
-    counts = counts.reshape(n_weeks, 3).tolist()
+    counts = counts.reshape(n_weeks, 3)
     bounds = np.searchsorted(week, np.arange(n_weeks + 1)).tolist()
-    pols = table.polarity[rows]
-    return [_window(asset, first_date + dt.timedelta(days=7 * k), counts[k],
-                    pols[bounds[k]:bounds[k + 1]].tolist())
-            for k in range(n_weeks)]
+    pols = table.polarity[rows].tolist()
+    out = np.zeros((n_weeks, 4))
+    for k in range(n_weeks):
+        block = pols[bounds[k]:bounds[k + 1]]
+        if block:
+            out[k, :3] = math.fsum(block) / len(block), max(block), median(block)
+    out[:, 3] = sentiment_ratio(counts[:, 0], counts[:, 1])
+    return out
 
 
-def daily_features(
-    table: SentimentTable, asset: str, dates: list[dt.date]
-) -> dict[dt.date, dict[str, float]]:
-    """Per-date engagement totals and ratio of ``asset``'s rows, shaped for
-    panel alignment; a date without rows gets zero totals and ratio 1."""
-    if not dates:
-        return {}
+def daily_features(table: SentimentTable, asset: str, dates: list[dt.date]) -> np.ndarray:
+    """The likes, retweets and comments totals and the ratio of ``asset``'s
+    rows on each of ``dates``, one row per date in the column order of
+    ``market_data.NEUTRAL_SENTIMENT``; a date without rows gets 0, 0, 0, 1."""
+    days, inverse = np.unique(np.array([d.toordinal() for d in dates], dtype=np.int64),
+                              return_inverse=True)
     rows = table.rows_of(asset)
-    days = np.unique([d.toordinal() for d in dates])
+    rows = rows[np.isin(table.day[rows], days)]
     pos = np.searchsorted(days, table.day[rows])
-    hit = days.take(pos, mode="clip") == table.day[rows]
-    rows, pos = rows[hit], pos[hit]
     counts = np.bincount(3 * pos + table.label[rows], minlength=3 * days.size)
-    counts = counts.reshape(days.size, 3).tolist()
+    counts = counts.reshape(days.size, 3)
     # integer sums (np.bincount would add in float64), converted to float once
     totals = np.zeros((days.size, 3), dtype=np.int64)
     np.add.at(totals, pos, table.engagement[rows])
-    totals = totals.astype(float).tolist()
-    index = dict(zip(days.tolist(), range(days.size)))
-    out: dict[dt.date, dict[str, float]] = {}
-    for d in dates:
-        k = index[d.toordinal()]
-        likes, retweets, comments = totals[k]
-        out[d] = {
-            "likes": likes,
-            "retweets": retweets,
-            "comments": comments,
-            "ratio": sentiment_ratio(counts[k][0], counts[k][1]),
-        }
-    return out
+    out = np.empty((days.size, 4))
+    out[:, :3] = totals
+    out[:, 3] = sentiment_ratio(counts[:, 0], counts[:, 1])
+    return out[inverse]
 
 
 def audit_labels(

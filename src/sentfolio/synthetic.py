@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .market_data import AlignedPanel, PriceSeries, align_panel
+from .market_data import (
+    NEUTRAL_SENTIMENT, SENTIMENT_INDEX, AlignedPanel, PriceSeries, align_panel,
+)
 
 DEFAULT_ASSETS = ("AAA", "BBB", "CCC", "DDD", "EEE")
 
@@ -34,7 +36,8 @@ def make_market(
     beta * z[n, t] + noise with beta chosen so corr(return_{t+1}, z_t) = rho.
     The sentiment ratio feature exposes z as exp(0.8 * z).
 
-    Returns (price series, daily_sentiment mapping for align_panel, z).
+    Returns (price series, ``sentiment[asset][date][feature]`` for each
+    feature of NEUTRAL_SENTIMENT, z).
     """
     rng = np.random.default_rng(seed)
     n = len(assets)
@@ -79,7 +82,12 @@ def make_market(
 
 def make_panel(seed: int = 0, n_days: int = 500, rho: float = 0.3, **kwargs) -> AlignedPanel:
     series, sentiment, _ = make_market(seed=seed, n_days=n_days, rho=rho, **kwargs)
-    return align_panel(series, sentiment)
+    panel = align_panel(series)
+    for a, asset in enumerate(panel.assets):
+        days = sentiment[asset]
+        panel.values[:, a, SENTIMENT_INDEX] = [[days[d][name] for name in NEUTRAL_SENTIMENT]
+                                               for d in panel.dates]
+    return panel
 
 
 def write_market_csv(

@@ -1,10 +1,12 @@
-"""Acceptance suite: the nine primary criteria, each as one test.
+"""Acceptance suite: the nine primary criteria, each as one test, and the
+golden digests of their outputs.
 
 Every test prints a [PASS] line with the measured quantity so a plain pytest -s
 run doubles as the acceptance protocol transcript.
 """
 
 import datetime as dt
+import hashlib
 import time
 
 import numpy as np
@@ -256,3 +258,58 @@ def test_criterion_9_determinism(cli_workspace):
         assert (alt / name).read_bytes() == before[name], name
     print(f"[PASS] criterion 9: {len(artifacts)} artifacts byte-identical "
           "across independent reruns")
+
+
+# -- golden digests ----------------------------------------------------------
+# SHA-256 pins of the criterion-9 artifacts and of one run_pipeline result,
+# taken with the numpy and BLAS below; other builds may round differently.
+# A change that alters these outputs by design updates the pins and says so
+# in CHANGES.md.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_BLAS = "scipy-openblas 0.3.31.188.0"
+GOLDEN_ARTIFACTS = {
+    "panel.csv": "0f478b085d67f8a97a1fd12de2c72231af86b957a8f5666bdb5cf9e95ec3e110",
+    "wealth_curves.csv": "6080ad97b8b5c61b4e17ec141ef544fa9e885ae08fc811bdabc163df3d8d45ea",
+    "report.csv": "dd6eca6aa29ce0d2fa1bab99aa074290966c5c044f968554348d122f03159c1c",
+    "report.json": "d6d0e07dfc79a13aef7066f39e8271b21fcf2a013ab51b63685f43146f90bcf0",
+    "wealth.svg": "0f15b3700dcd517bde63772b0be95c2b38d2d6b8f853f8eb991a95d7d6335131",
+    "correlation.csv": "4c36597d36a0c3e16ca71f72f34cea748697881d331940b97fb65c00341b03da",
+    "granger.csv": "e1bfabd6c2957e46cbd1f3839a2f5db67d5d6046b93d643402bae3efe7eaaa66",
+}
+GOLDEN_PIPELINE = "2befb20721b106efbaa57358bd4c9d08685ef4500469f38b554e8cbfe0afd1ec"
+
+
+def _blas() -> str:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+
+
+def _pipeline_digest(result) -> str:
+    """Curve values, weight rows and training losses of a PipelineResult."""
+    h = hashlib.sha256()
+    for name, curve in result.curves.items():
+        h.update(name.encode())
+        h.update(repr(curve.values).encode())
+        h.update(repr([w.values for w in curve.weights]).encode())
+    for name, tr in sorted(result.train_reports.items()):
+        h.update(repr((name, tr.train_mse, tr.val_mse, tr.best_epoch)).encode())
+    if result.ttest is not None:
+        h.update(repr((result.ttest.statistic, result.ttest.p_value)).encode())
+    return h.hexdigest()
+
+
+def test_golden_digests(cli_workspace):
+    """The criterion-9 artifacts and a small run_pipeline result hash to the
+    pinned SHA-256 digests, so a refactor that claims identical outputs is
+    checked against the outputs from before it, not only against itself."""
+    if (np.__version__, _blas()) != (GOLDEN_NUMPY, GOLDEN_BLAS):
+        pytest.skip(f"digests pinned with numpy {GOLDEN_NUMPY} and {GOLDEN_BLAS}; "
+                    f"this is numpy {np.__version__} with {_blas()}")
+    out = cli_workspace / "out"
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in GOLDEN_ARTIFACTS}
+    assert got == GOLDEN_ARTIFACTS
+    result = run_pipeline(make_panel(seed=1, n_days=120), mc_count=500,
+                          lstm_config=LstmConfig(hidden_size=4, num_layers=1, epochs=3, seed=0))
+    assert _pipeline_digest(result) == GOLDEN_PIPELINE
+    print(f"[PASS] golden digests: {len(got)} artifacts and one pipeline run")

@@ -557,6 +557,18 @@ def test_three_asset_chain(tmp_path):
     assert len(lines) == 2 + 5  # stamp + header + one row per strategy
 
 
+def test_backtest_without_replicates_drops_their_old_file(tmp_path):
+    root = populate(tmp_path, THREE_ASSETS + "replicate_seeds: [1, 2]\n")
+    for command in ("ingest", "backtest", "report"):
+        assert run(root, command) == 0, command
+    assert "paired_t_test" in json.loads(artifact(root, "report.json").read_text())
+    (root / "config.yaml").write_text(THREE_ASSETS)
+    for command in ("backtest", "report"):
+        assert run(root, command) == 0, command
+    assert not artifact(root, "replicates.csv").exists()
+    assert "paired_t_test" not in json.loads(artifact(root, "report.json").read_text())
+
+
 def test_analyze_writes_nan_granger_rows_for_constant_ratio(tmp_path):
     root = populate(tmp_path, THREE_ASSETS)
     sentiment_csv = root / "data" / "sentiment.csv"

@@ -12,6 +12,8 @@ from sentfolio.errors import (
 )
 from sentfolio.market_data import (
     FEATURE_NAMES,
+    NEUTRAL_SENTIMENT,
+    SENTIMENT_INDEX,
     AlignedPanel,
     PriceSeries,
     SplitSpec,
@@ -120,9 +122,10 @@ class TestAlignPanel:
         assert list(panel.features["A"]["likes"]) == [0.0, 0.0]
 
     def test_sentiment_joined(self):
+        assert [FEATURE_NAMES[i] for i in SENTIMENT_INDEX] == list(NEUTRAL_SENTIMENT)
         a = make_prices("A", [1.0, 2.0])
-        daily = {"A": {dt.date(2020, 1, 1): {"likes": 5.0, "ratio": 2.5}}}
-        panel = align_panel([a], daily)
+        panel = align_panel([a])
+        panel.values[0, 0, SENTIMENT_INDEX] = [5.0, 0.0, 0.0, 2.5]
         assert panel.features["A"]["likes"][0] == 5.0
         assert panel.features["A"]["ratio"][0] == 2.5
         assert panel.features["A"]["ratio"][1] == 1.0
@@ -130,8 +133,8 @@ class TestAlignPanel:
     def test_feature_matrix_is_asset_major(self):
         a = make_prices("A", [1.0, 2.0], volumes=[10.0, 20.0])
         b = make_prices("B", [3.0, 4.0], volumes=[30.0, 40.0])
-        daily = {"B": {dt.date(2020, 1, 2): {"likes": 7.0}}}
-        panel = align_panel([a, b], daily)
+        panel = align_panel([a, b])
+        panel.features["B"]["likes"][1] = 7.0
         mat = panel.feature_matrix()
         for ai, asset in enumerate(panel.assets):
             for fi, name in enumerate(FEATURE_NAMES):

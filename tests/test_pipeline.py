@@ -3,9 +3,12 @@ import datetime as dt
 import numpy as np
 import pytest
 
+from sentfolio.backtest import DEFAULT_INITIAL_CAPITAL
 from sentfolio.errors import ConfigurationError, InsufficientDataError
 from sentfolio.forecast_lstm import LstmConfig
-from sentfolio.market_data import NEUTRAL_SENTIMENT, SplitSpec, split_chronological
+from sentfolio.market_data import (
+    FEATURE_NAMES, NEUTRAL_SENTIMENT, PRICE_INDEX, AlignedPanel, SplitSpec, split_chronological,
+)
 from sentfolio.pipeline import (
     ALL_STRATEGIES,
     STRATEGY_BUY_HOLD,
@@ -128,6 +131,37 @@ class TestRunPipeline:
 
     def test_no_replicates_no_ttest(self, result):
         assert result.ttest is None
+
+
+def _weight_bytes(curve):
+    return np.array([w.values for w in curve.weights]).tobytes()
+
+
+class TestMetamorphic:
+    """Relations that run_pipeline keeps bit for bit.  Scaling by a power of
+    two is exact in floating point, also through the min-max scaler and
+    back, so prices x4 and volumes x8 give the LSTMs the same scaled inputs
+    and every price ratio stays the same.  The CLI path is left out: the
+    price files hold decimal text rounded to six places, and the rounding of
+    four times a price is not four times its rounding."""
+
+    def test_price_and_volume_scale_keeps_weights(self, panel, result):
+        values = panel.values.copy()
+        values[:, :, PRICE_INDEX] *= 4.0
+        values[:, :, FEATURE_NAMES.index("volume")] *= 8.0
+        scaled = run_pipeline(AlignedPanel(list(panel.dates), list(panel.assets), values),
+                              lstm_config=FAST_LSTM, mc_count=500)
+        for name in ALL_STRATEGIES:
+            assert _weight_bytes(scaled.curves[name]) == _weight_bytes(result.curves[name]), name
+            assert scaled.curves[name].values == result.curves[name].values, name
+
+    def test_double_capital_doubles_wealth(self, panel, result):
+        doubled = run_pipeline(panel, lstm_config=FAST_LSTM, mc_count=500,
+                               initial_capital=2 * DEFAULT_INITIAL_CAPITAL)
+        for name in ALL_STRATEGIES:
+            assert _weight_bytes(doubled.curves[name]) == _weight_bytes(result.curves[name]), name
+            twice = 2 * np.array(result.curves[name].values)
+            assert np.array(doubled.curves[name].values).tobytes() == twice.tobytes(), name
 
 
 class TestTestWindow:

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from sentfolio.errors import ParseError, ValidationError
 from sentfolio.sentiment import (
     LABELS,
-    MIN_WEEKLY_COUNT,
     Lexicon,
     SentimentTable,
     audit_labels,
@@ -50,7 +49,8 @@ def table(records):
 
 
 def week(records, start=D0):
-    """The one weekly window of asset A starting at ``start``."""
+    """The one weekly row (mean, max, median polarity, ratio) of asset A
+    starting at ``start``."""
     (w,) = weekly_windows(table(records), "A", start, start)
     return w
 
@@ -87,6 +87,14 @@ class TestLabelText:
         _, pol = label_text("great " * 100, lexicon)
         assert -1.0 <= pol <= 1.0
 
+    @pytest.mark.parametrize("text, expected", [
+        ("very " * 1000 + "awful", ("Negative", -1.0)),  # s * s overflows
+        ("very " * 2000 + "awful", ("Negative", -1.0)),  # s is -inf
+        ("very " * 2000 + "good " + "very " * 2000 + "awful", ("Neutral", 0.0)),  # NaN
+    ])
+    def test_sum_beyond_float_range(self, lexicon, text, expected):
+        assert label_text(text, lexicon) == expected
+
     def test_label_sign_coherence(self, lexicon, tmp_path):
         texts = ("good", "bad", "not bad", "awful awful", "", "very great")
         labeled = [label_text(text, lexicon) for text in texts]
@@ -106,6 +114,12 @@ class TestSentimentRatio:
     def test_zero_negative_week(self):
         assert sentiment_ratio(29, 0) == 30.0
 
+    def test_arrays_of_counts(self):
+        ratios = sentiment_ratio(np.array([0, 3, 29]), np.array([0, 1, 0]))
+        assert ratios.tolist() == [1.0, 2.0, 30.0]
+        with pytest.raises(ValidationError):
+            sentiment_ratio(np.array([1, 2]), np.array([0, -1]))
+
     @given(st.integers(0, 500), st.integers(0, 500))
     def test_monotonicity(self, p, n):
         assert sentiment_ratio(p + 1, n) > sentiment_ratio(p, n)
@@ -114,38 +128,30 @@ class TestSentimentRatio:
 
 class TestAggregateWeekly:
     def test_empty_window(self):
-        w = week([])
-        assert w.n_total == 0
-        assert (w.mean_pol, w.max_pol, w.median_pol) == (0.0, 0.0, 0.0)
-        assert w.ratio == 1.0
-        assert not w.sufficient
+        assert week([]).tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_uniform_positive_window(self):
-        w = week([rec(i % 7, "Positive", 0.5) for i in range(30)])
-        assert w.n_pos == 30 and w.n_total == 30
-        assert w.mean_pol == pytest.approx(0.5)
-        assert w.sufficient
+        mean, _, _, ratio = week([rec(i % 7, "Positive", 0.5) for i in range(30)])
+        assert mean == pytest.approx(0.5)
+        assert ratio == 31.0
 
     def test_mixed_polarities(self):
-        w = week([rec(0, "Positive", 0.2), rec(1, "Negative", -0.4), rec(2, "Positive", 0.6)])
-        assert w.mean_pol == pytest.approx(0.4 / 3)
-        assert w.max_pol == 0.6
-        assert w.median_pol == 0.2
+        mean, max_pol, median_pol, _ = week(
+            [rec(0, "Positive", 0.2), rec(1, "Negative", -0.4), rec(2, "Positive", 0.6)])
+        assert mean == pytest.approx(0.4 / 3)
+        assert max_pol == 0.6
+        assert median_pol == 0.2
 
     def test_out_of_window_record(self):
         w = week([rec(7, "Neutral", 0.0), rec(-1, "Positive", 0.5), rec(3, "Negative", -0.5)])
-        assert (w.n_total, w.n_neg) == (1, 1)
-
-    def test_count_partition(self):
-        w = week([rec(0, "Positive", 0.3), rec(1, "Negative", -0.1), rec(2, "Neutral", 0.0)])
-        assert w.n_total == w.n_pos + w.n_neg + w.n_neu
+        assert w.tolist() == [-0.5, -0.5, -0.5, 0.5]
 
     @given(st.permutations(list(range(6))))
     def test_permutation_invariant(self, order):
         pols = [0.2, -0.4, 0.6, 0.0, 0.1, -0.9]
         labels = ["Positive", "Negative", "Positive", "Neutral", "Positive", "Negative"]
         records = [rec(i, labels[i], pols[i]) for i in range(6)]
-        assert week([records[i] for i in order]) == week(records)
+        assert week([records[i] for i in order]).tolist() == week(records).tolist()
 
 
 class TestWeeklyWindows:
@@ -163,49 +169,48 @@ class TestWeeklyWindows:
         while start <= last:
             end = start + dt.timedelta(days=6)
             expected.append(reference_aggregate_weekly(
-                [r for r in refs if start <= r.date <= end], start))
+                [r for r in refs if start <= r.date <= end]))
             start = end + dt.timedelta(days=1)
         assert_windows_bits(got, expected)
-        assert [w.n_total for w in got] == [4, 2, 3]  # -1 and 21 are dropped
 
     def test_signed_zeros_keep_file_order(self):
         # max and median return the first of equal values: -0.0 here
         records = [rec(2, "Neutral", -0.0), rec(0, "Neutral", 0.0), rec(1, "Negative", -0.5)]
         got = weekly_windows(table(records), "A", D0, D0)
         assert_windows_bits(got, [reference_aggregate_weekly(
-            [reference_record(r) for r in records], D0)])
-        assert math.copysign(1.0, got[0].max_pol) == -1.0
+            [reference_record(r) for r in records])])
+        assert math.copysign(1.0, got[0, 1]) == -1.0
 
     def test_empty_span(self):
         assert weekly_windows(table([rec(0, "Neutral", 0.0)]), "A", D0,
-                              D0 - dt.timedelta(days=1)) == []
+                              D0 - dt.timedelta(days=1)).shape == (0, 4)
 
     def test_other_assets_and_unknown_asset(self):
         records = [rec(0, "Positive", 0.5), rec(1, "Negative", -0.5, asset="B")]
-        assert [w.n_total for w in weekly_windows(table(records), "B", D0, D0)] == [1]
-        assert [w.n_total for w in weekly_windows(table(records), "Z", D0, D0)] == [0]
+        assert weekly_windows(table(records), "B", D0, D0).tolist() == [[-0.5, -0.5, -0.5, 0.5]]
+        assert weekly_windows(table(records), "Z", D0, D0).tolist() == [[0.0, 0.0, 0.0, 1.0]]
 
 
 class TestDailyRatio:
+    """daily_features rows: likes, retweets and comments totals, then ratio."""
+
     def test_two_pos_one_neg(self):
         records = [rec(0, "Positive", 0.5), rec(0, "Positive", 0.2), rec(0, "Negative", -0.1)]
-        assert daily_features(table(records), "A", [D0])[D0]["ratio"] == 1.5
+        assert daily_features(table(records), "A", [D0])[0, 3] == 1.5
 
     def test_no_records_default(self):
-        assert daily_features(table([]), "A", [D0]) == {
-            D0: {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.0}
-        }
+        assert daily_features(table([]), "A", [D0]).tolist() == [[0.0, 0.0, 0.0, 1.0]]
 
     def test_all_negative_day(self):
         records = [rec(0, "Negative", -0.5, likes=3) for _ in range(4)]
-        day = daily_features(table(records), "A", [D0])[D0]
-        assert day["ratio"] == 0.2
-        assert day["likes"] == 12.0
+        likes, _, _, ratio = daily_features(table(records), "A", [D0])[0]
+        assert ratio == 0.2
+        assert likes == 12.0
 
     def test_repeated_date_keeps_its_totals(self):
         records = [rec(0, "Positive", 0.5, likes=2), rec(0, "Positive", 0.5, asset="B")]
-        day = daily_features(table(records), "A", [D0, D0])[D0]
-        assert (day["likes"], day["ratio"]) == (2.0, 2.0)
+        days = daily_features(table(records), "A", [D0, D0])
+        assert days.tolist() == [[2.0, 0.0, 0.0, 2.0]] * 2
 
 
 class TestAuditLabels:
@@ -344,7 +349,12 @@ def reference_label_text(text, lexicon):
             v = valence * scale
             total += -v if flip else v
         flip, scale = False, 1.0
-    polarity = max(-1.0, min(1.0, total / math.sqrt(total * total + 15.0)))
+    if math.isnan(total):
+        return "Neutral", 0.0
+    if math.isinf(total * total):
+        polarity = math.copysign(1.0, total)
+    else:
+        polarity = max(-1.0, min(1.0, total / math.sqrt(total * total + 15.0)))
     if abs(polarity) < 0.05:
         return "Neutral", 0.0
     return ("Positive", polarity) if polarity > 0 else ("Negative", polarity)
@@ -369,16 +379,14 @@ def reference_record(r):
     return Record(D0 + dt.timedelta(days=r[0]), r[3], "", r[1], r[2], r[4])
 
 
-def reference_aggregate_weekly(records, start):
+def reference_aggregate_weekly(records):
     pols = [r.polarity for r in records]
     n_pos = sum(1 for r in records if r.label == "Positive")
     n_neg = sum(1 for r in records if r.label == "Negative")
-    return (start, len(records), n_pos, n_neg, len(records) - n_pos - n_neg,
-            math.fsum(pols) / len(pols) if pols else 0.0,
+    return (math.fsum(pols) / len(pols) if pols else 0.0,
             max(pols) if pols else 0.0,
             median(pols) if pols else 0.0,
-            (n_pos + 1) / (n_neg + 1),
-            len(records) >= MIN_WEEKLY_COUNT)
+            (n_pos + 1) / (n_neg + 1))
 
 
 def reference_weekly_windows(records, first, last):
@@ -388,18 +396,17 @@ def reference_weekly_windows(records, first, last):
         k = (r.date - first).days // 7
         if 0 <= k < n_weeks:
             blocks[k].append(r)
-    return [reference_aggregate_weekly(b, first + dt.timedelta(days=7 * k))
-            for k, b in enumerate(blocks)]
+    return [reference_aggregate_weekly(b) for b in blocks]
 
 
 def reference_daily_features(records, dates):
-    out = {}
+    out = []
     for d in dates:
         day = [r for r in records if r.date == d]
         n_pos = sum(1 for r in day if r.label == "Positive")
         n_neg = sum(1 for r in day if r.label == "Negative")
-        out[d] = [float(sum(r.likes for r in day)), float(sum(r.retweets for r in day)),
-                  float(sum(r.comments for r in day)), (n_pos + 1) / (n_neg + 1)]
+        out.append([float(sum(r.likes for r in day)), float(sum(r.retweets for r in day)),
+                    float(sum(r.comments for r in day)), (n_pos + 1) / (n_neg + 1)])
     return out
 
 
@@ -414,11 +421,7 @@ def float_rows(rows):
 
 
 def assert_windows_bits(windows, expected):
-    got = [(w.window_start, w.n_total, w.n_pos, w.n_neg, w.n_neu) for w in windows]
-    assert got == [e[:5] for e in expected]
-    assert [w.sufficient for w in windows] == [e[9] for e in expected]
-    assert_bits(float_rows([w.mean_pol, w.max_pol, w.median_pol, w.ratio] for w in windows),
-                float_rows(e[5:9] for e in expected))
+    assert_bits(windows, float_rows(expected))
 
 
 ORACLE_LEXICON = Lexicon(valences={"good": 0.5, "great": 0.8, "bad": -0.5, "awful": -0.8})
@@ -475,12 +478,8 @@ class TestTableOracle:
         last = first + dt.timedelta(days=span)
         for asset in ("A", "B", "C"):
             own = [r for r in refs if r.asset_id == asset]
-            daily = daily_features(loaded, asset, dates)
-            expected = reference_daily_features(own, dates)
-            assert list(daily) == list(expected)
-            assert_bits(float_rows([f["likes"], f["retweets"], f["comments"], f["ratio"]]
-                                   for f in daily.values()),
-                        float_rows(expected.values()))
+            assert_bits(daily_features(loaded, asset, dates),
+                        float_rows(reference_daily_features(own, dates)))
             assert_windows_bits(weekly_windows(loaded, asset, first, last),
                                 reference_weekly_windows(own, first, last))
 
@@ -515,7 +514,9 @@ class TestTableOracle:
         assert_bits(pol, ref_pol)
 
     @pytest.mark.parametrize("text", ["very " * 2000 + "great", "very " * 2000 + "not awful",
-                                      "great " * 10**4, "awful " * 10**4])
+                                      "great " * 10**4, "awful " * 10**4,
+                                      "very " * 1000 + "awful",
+                                      "very " * 2000 + "good " + "very " * 2000 + "awful"])
     def test_label_text_extremes_match_reference(self, text):
         name, pol = label_text(text, ORACLE_LEXICON)
         ref_name, ref_pol = reference_label_text(text, ORACLE_LEXICON)
