@@ -130,14 +130,12 @@ def max_drawdown(curve: WealthCurve) -> float:
     return float(np.max((peak - v) / peak))
 
 
-def annualized_return(
-    curve: WealthCurve, trading_days_per_year: int = TRADING_DAYS_PER_YEAR
-) -> float:
+def annualized_return(curve: WealthCurve) -> float:
     """fAPV compounded to a one-year horizon: fapv^(252/D) - 1 over D periods."""
     periods = len(curve.values) - 1
     if periods < 1:
         raise InsufficientDataError("curve spans fewer than 2 dates")
-    return fapv(curve) ** (trading_days_per_year / periods) - 1.0
+    return fapv(curve) ** (TRADING_DAYS_PER_YEAR / periods) - 1.0
 
 
 def performance_report(
@@ -164,7 +162,7 @@ def performance_report(
 
 def compare_strategies(
     curves: dict[str, WealthCurve],
-    bh_name: str = "BuyHold",
+    bh_name: str,
     replicate_capitals: tuple[list[float], list[float]] | None = None,
 ) -> tuple[list[PerfReport], TestResult | None]:
     """Per-strategy metric rows plus, when per-seed replicate final capitals

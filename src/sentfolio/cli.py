@@ -318,8 +318,9 @@ def _sha256(path: Path) -> str:
 
 
 def _labels_key(digest: str, lexicon: sentiment.Lexicon) -> str:
-    rules = json.dumps([sentiment.SCORER_VERSION, digest, sorted(lexicon.valences.items()),
-                        sorted(lexicon.negations), sorted(lexicon.intensifiers.items())])
+    # SCORER_VERSION stands for label_text's fixed rules, negations and
+    # intensifiers included; the valences are the lexicon file's
+    rules = json.dumps([sentiment.SCORER_VERSION, digest, sorted(lexicon.valences.items())])
     return hashlib.sha256(rules.encode()).hexdigest()
 
 
@@ -394,22 +395,19 @@ def cmd_label(cfg: RunConfig) -> int:
 
 def _weekly_stats_and_returns(panel: AlignedPanel, asset: str,
                               table: sentiment.SentimentTable) -> tuple[np.ndarray, list]:
-    """The weekly_windows rows of the weeks with two or more panel dates,
-    and each such week's total return."""
-    first = panel.dates[0]
-    weeks = sentiment.weekly_windows(table, asset, first, panel.dates[-1])
-    rows: list[list[int]] = [[] for _ in weeks]
-    for i, d in enumerate(panel.dates):
-        rows[(d - first).days // 7].append(i)
+    """The weekly_windows rows of the weeks that have a return, and each such
+    week's return.  Week k's return runs from the last close before week k
+    (week 0: the panel's first close) to week k's last close, so the weeks
+    tile the period; a week whose return would span a single close is left
+    out."""
+    weeks = sentiment.weekly_windows(table, asset, panel.dates[0], panel.dates[-1])
+    ordinals = [d.toordinal() for d in panel.dates]
+    # last[k]: the last row before week k; last[k + 1]: week k's last row
+    last = np.searchsorted(ordinals, ordinals[0] + 7 * np.arange(len(weeks) + 1)) - 1
+    start, end = np.maximum(last[:-1], 0), last[1:]
+    kept = end > start
     prices = np.asarray(panel.features[asset]["adj_close"])
-    weekly_returns = []
-    kept = []
-    for k, idx in enumerate(rows):
-        if len(idx) < 2:
-            continue
-        weekly_returns.append(float(prices[idx[-1]] / prices[idx[0]] - 1.0))
-        kept.append(k)
-    return weeks[kept], weekly_returns
+    return weeks[kept], (prices[end[kept]] / prices[start[kept]] - 1.0).tolist()
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -467,12 +465,7 @@ def _checkpoint_paths(cfg: RunConfig) -> dict[str, Path]:
 def cmd_train(cfg: RunConfig) -> int:
     panel = read_panel(cfg)
     paths = _checkpoint_paths(cfg)
-    variants = {
-        pipeline.STRATEGY_LSTM: pipeline.neutralize_sentiment(panel),
-        pipeline.STRATEGY_LSTM_SENTIMENT: panel,
-    }
-    for name, variant_panel in variants.items():
-        model, report, _ = pipeline.train_forecaster(variant_panel, cfg.split, cfg.lstm)
+    for name, (model, report, _) in pipeline.train_variants(panel, cfg.split, cfg.lstm).items():
         save_checkpoint(model, paths[name])
         loss_path = cfg.out_dir / f"loss_{paths[name].stem}.csv"
         _write_csv(loss_path, cfg, ["epoch", "train_mse", "val_mse"],
@@ -517,27 +510,11 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
     # report reads replicates.csv when it exists: none may outlive its seeds
     rep_path.unlink(missing_ok=True)
     if cfg.replicate_seeds:
-        rep_rows = []
-        for seed in cfg.replicate_seeds:
-            seeded = LstmConfig(**dict(cfg.lstm.__dict__, seed=seed))
-            rep = pipeline.run_pipeline(
-                panel,
-                split=cfg.split,
-                lstm_config=seeded,
-                mc_count=cfg.mc_count,
-                mc_seed=cfg.mc_seed + seed,
-                cov_window=cfg.cov_window,
-                initial_capital=cfg.initial_capital,
-                strategies=(pipeline.STRATEGY_BUY_HOLD, pipeline.STRATEGY_LSTM,
-                            pipeline.STRATEGY_LSTM_SENTIMENT),
-                test_window=window,
-            )
-            rep_rows.append([
-                seed,
-                repr(rep.curves[pipeline.STRATEGY_LSTM_SENTIMENT].final_capital),
-                repr(rep.curves[pipeline.STRATEGY_LSTM].final_capital),
-            ])
-        _write_csv(rep_path, cfg, ["seed", "lstm_sentiment_final", "lstm_final"], rep_rows)
+        capitals = pipeline.replicates(
+            ((panel, seed, cfg.mc_seed + seed) for seed in cfg.replicate_seeds),
+            cfg.split, cfg.lstm, cfg.mc_count, cfg.cov_window, cfg.initial_capital, window)
+        _write_csv(rep_path, cfg, ["seed", "lstm_sentiment_final", "lstm_final"],
+                   [[seed, *map(repr, pair)] for seed, pair in zip(cfg.replicate_seeds, capitals)])
     print(f"wrote {curves_path}")
     return 0
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -73,7 +72,6 @@ class TrainReport:
     train_mse: list[float]
     val_mse: list[float]
     best_epoch: int
-    wall_time: float
 
     def __post_init__(self):
         if self.val_mse and not (0 <= self.best_epoch < len(self.val_mse)
@@ -351,7 +349,6 @@ def train(
     Ys_va = model.target_scaler.transform(Y_va)
 
     rng = np.random.default_rng(cfg.seed + 1)
-    start = time.perf_counter()
     train_mse: list[float] = []
     val_mse: list[float] = []
     best_epoch = 0
@@ -377,12 +374,7 @@ def train(
             best_epoch = epoch
             best_theta = model.theta.copy()
     model.theta[...] = best_theta
-    return TrainReport(
-        train_mse=train_mse,
-        val_mse=val_mse,
-        best_epoch=best_epoch,
-        wall_time=time.perf_counter() - start,
-    )
+    return TrainReport(train_mse=train_mse, val_mse=val_mse, best_epoch=best_epoch)
 
 
 def gradient_check(

@@ -3,7 +3,8 @@ metric tables out.  Both the CLI and the acceptance suite drive this module."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,13 +36,10 @@ STRATEGY_BEST_STOCK = "Best Stock"
 STRATEGY_REBALANCING = "Rebalancing"
 STRATEGY_LSTM = "LSTM"
 STRATEGY_LSTM_SENTIMENT = "LSTM Sentiment"
-ALL_STRATEGIES = (
-    STRATEGY_BUY_HOLD,
-    STRATEGY_BEST_STOCK,
-    STRATEGY_REBALANCING,
-    STRATEGY_LSTM,
-    STRATEGY_LSTM_SENTIMENT,
-)
+# The two forecasters the paper compares: LSTM reads the panel with its
+# sentiment neutralized, LSTM Sentiment reads it as it is.
+LSTM_VARIANTS = (STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT)
+ALL_STRATEGIES = (STRATEGY_BUY_HOLD, STRATEGY_BEST_STOCK, STRATEGY_REBALANCING, *LSTM_VARIANTS)
 
 
 @dataclass
@@ -62,12 +60,9 @@ def neutralize_sentiment(panel: AlignedPanel) -> AlignedPanel:
 
 def train_forecaster(
     panel: AlignedPanel, split: SplitSpec, config: LstmConfig
-) -> tuple[LstmModel, TrainReport, int]:
-    """Fit scaler on the train split, train on train/val windows.
-
-    Returns (model, report, index of the first test row in the panel).
-    """
-    train_panel, val_panel, test_panel = split_chronological(panel, split)
+) -> tuple[LstmModel, TrainReport]:
+    """Fit scaler on the train split, train on train/val windows."""
+    train_panel, val_panel, _ = split_chronological(panel, split)
     model = LstmModel(config)
     model.fit_scaler(train_panel.feature_matrix(), panel.price_column_indices())
     report = train(
@@ -75,8 +70,22 @@ def train_forecaster(
         make_windows(train_panel, config.window),
         make_windows(val_panel, config.window),
     )
-    test_start = train_panel.n_rows + val_panel.n_rows
-    return model, report, test_start
+    return model, report
+
+
+def train_variants(
+    panel: AlignedPanel,
+    split: SplitSpec,
+    config: LstmConfig,
+    names: tuple[str, ...] = LSTM_VARIANTS,
+) -> dict[str, tuple[LstmModel, TrainReport, AlignedPanel]]:
+    """Train each LSTM variant in ``names`` (see LSTM_VARIANTS) on its view
+    of ``panel``; returns ``{name: (model, report, the panel it reads)}``."""
+    trained = {}
+    for name in names:
+        variant = neutralize_sentiment(panel) if name == STRATEGY_LSTM else panel
+        trained[name] = (*train_forecaster(variant, split, config), variant)
+    return trained
 
 
 def predict_test_segment(
@@ -94,17 +103,18 @@ def predict_test_segment(
 
 def _predictive_curves(
     eval_panel: AlignedPanel,
-    models: dict[str, tuple[LstmModel, AlignedPanel]],
+    trained: dict[str, tuple[LstmModel, TrainReport, AlignedPanel]],
     test_start: int,
     mc_count: int,
     mc_seed: int,
     cov_window: int,
     initial_capital: float,
 ) -> dict[str, WealthCurve]:
-    """One wealth curve per LSTM variant, ``models[name] = (model, the panel
-    it reads)``.  The variants share prices, so the returns, last closes and
-    trailing windows are built once, and every variant's daily selection
-    runs on the same Monte-Carlo draws."""
+    """One wealth curve per trained LSTM variant (see train_variants), each
+    forecasting from its own panel up to the last row of ``eval_panel``.  The
+    variants share prices, so the returns, last closes and trailing windows
+    are built once, and every variant's daily selection runs on the same
+    Monte-Carlo draws."""
     prices_full = eval_panel.price_matrix()
     simple_full = prices_full[1:] / prices_full[:-1] - 1.0
     test_prices = prices_full[test_start:]
@@ -112,8 +122,8 @@ def _predictive_curves(
     gross = test_prices[1:] / test_prices[:-1]
     # decision at end of test row t (global g) targets the price on row t+1
     predicted = np.stack([
-        predict_test_segment(model, panel, test_start)[1:]
-        for model, panel in models.values()
+        predict_test_segment(model, panel.slice(0, eval_panel.n_rows), test_start)[1:]
+        for model, _, panel in trained.values()
     ])
     last_closes = test_prices[:-1]
     trailing = []
@@ -127,7 +137,7 @@ def _predictive_curves(
     dates = eval_panel.dates[test_start:]
     return {
         name: run_backtest(w, gross, dates, initial_capital)
-        for name, w in zip(models, weights)
+        for name, w in zip(trained, weights)
     }
 
 
@@ -153,7 +163,6 @@ def run_pipeline(
     split = split or SplitSpec()
     lstm_config = lstm_config or LstmConfig()
     curves: dict[str, WealthCurve] = {}
-    train_reports: dict[str, TrainReport] = {}
 
     train_panel, val_panel, _ = split_chronological(panel, split)
     t0 = train_panel.n_rows + val_panel.n_rows
@@ -186,21 +195,42 @@ def run_pipeline(
         curves[STRATEGY_REBALANCING] = run_backtest(
             rebalancing_weights(n_assets, n_periods), gross, dates, initial_capital
         )
-    models = {}
-    for name in (STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT):
-        if name not in strategies:
-            continue
-        variant = neutralize_sentiment(panel) if name == STRATEGY_LSTM else panel
-        model, train_reports[name], _ = train_forecaster(variant, split, lstm_config)
-        models[name] = (model, variant.slice(0, t1))
-    if models:
+    trained = train_variants(
+        panel, split, lstm_config, tuple(n for n in LSTM_VARIANTS if n in strategies))
+    if trained:
         curves.update(_predictive_curves(
-            eval_panel, models, t0, mc_count, mc_seed, cov_window, initial_capital
+            eval_panel, trained, t0, mc_count, mc_seed, cov_window, initial_capital
         ))
 
     reports, ttest = compare_strategies(
         curves, bh_name=STRATEGY_BUY_HOLD, replicate_capitals=replicate_capitals
     )
     return PipelineResult(
-        curves=curves, reports=reports, ttest=ttest, train_reports=train_reports
+        curves=curves, reports=reports, ttest=ttest,
+        train_reports={name: report for name, (_, report, _) in trained.items()},
     )
+
+
+def replicates(
+    runs: Iterable[tuple[AlignedPanel, int, int]],
+    split: SplitSpec,
+    lstm_config: LstmConfig,
+    mc_count: int,
+    cov_window: int,
+    initial_capital: float,
+    test_window: tuple | None = None,
+) -> list[tuple[float, float]]:
+    """The paper's experiment: for each run ``(panel, LSTM seed, Monte-Carlo
+    seed)``, both LSTM variants trained with that seed and backtested on that
+    panel.  Returns each run's (LSTM Sentiment final capital, LSTM final
+    capital), the pairs a paired t-test compares."""
+    capitals = []
+    for panel, seed, mc_seed in runs:
+        curves = run_pipeline(
+            panel, split, replace(lstm_config, seed=seed), mc_count, mc_seed, cov_window,
+            initial_capital, strategies=(STRATEGY_BUY_HOLD, *LSTM_VARIANTS),
+            test_window=test_window,
+        ).curves
+        capitals.append((curves[STRATEGY_LSTM_SENTIMENT].final_capital,
+                         curves[STRATEGY_LSTM].final_capital))
+    return capitals

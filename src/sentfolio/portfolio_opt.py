@@ -168,14 +168,14 @@ def _sample_moments(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, cov
 
 
-def portfolio_stats(w: Weights, m: Moments, risk_free: float = 0.0) -> FrontierSample:
+def portfolio_stats(w: Weights, m: Moments) -> FrontierSample:
     arr = w.as_array()
     if arr.shape != m.mu.shape:
         raise DimensionError("weights and moments dimensions differ")
     exp_return = float(arr @ m.mu)
     variance = float(arr @ m.cov @ arr)
     volatility = math.sqrt(max(variance, 0.0))
-    sharpe = 0.0 if volatility < VOL_FLOOR else (exp_return - risk_free) / volatility
+    sharpe = 0.0 if volatility < VOL_FLOOR else exp_return / volatility
     return FrontierSample(weights=w, exp_return=exp_return, volatility=volatility, sharpe=sharpe)
 
 
@@ -183,7 +183,6 @@ def frontier_samples(
     m: Moments,
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-    risk_free: float = 0.0,
     workspace: MonteCarloWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Vectorized stats for `count` random portfolios.
@@ -215,16 +214,15 @@ def frontier_samples(
             variance += term
     vol = np.sqrt(np.maximum(variance, 0.0, out=variance), out=variance)
     np.less(vol, VOL_FLOOR, out=ws.flat)
-    return ws.W, vol, _scored_rows(ws.W, vol, ws.flat, np.atleast_2d(m.mu), risk_free)
+    return ws.W, vol, _scored_rows(ws.W, vol, ws.flat, np.atleast_2d(m.mu))
 
 
-def _scored_rows(W, vol, flat, mus, risk_free):
+def _scored_rows(W, vol, flat, mus):
     any_flat = flat.any()
     divisor = np.maximum(vol, VOL_FLOOR) if any_flat else vol
     for mu in mus:
         exp_ret = W @ mu  # one GEMV per row: see the module docstring
-        sharpe = np.subtract(exp_ret, risk_free)
-        sharpe /= divisor
+        sharpe = exp_ret / divisor
         if any_flat:
             sharpe[flat] = 0.0
         yield exp_ret, sharpe
@@ -234,7 +232,6 @@ def mean_variance_select(
     m: Moments,
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-    risk_free: float = 0.0,
     workspace: MonteCarloWorkspace | None = None,
 ) -> list[FrontierSample]:
     """Sharpe-maximal portfolio among `count` simplex samples, one per
@@ -245,7 +242,7 @@ def mean_variance_select(
     sample has zero volatility.
     """
     ws = MonteCarloWorkspace(count, m.mu.shape[-1]) if workspace is None else workspace
-    W, vol, rows = frontier_samples(m, count, seed, risk_free, ws)
+    W, vol, rows = frontier_samples(m, count, seed, ws)
     if ws.flat.all():
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
     picks = []
@@ -301,7 +298,6 @@ def predictive_weights(
     trailing_returns: list[np.ndarray],
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-    risk_free: float = 0.0,
 ) -> list[list[Weights]]:
     """Daily mean-variance portfolios from predicted next-day returns, for V
     forecasts at once.
@@ -327,7 +323,7 @@ def predictive_weights(
         m = Moments(mu=mu, cov=_sample_moments(trailing_returns[t])[1])
         try:
             picks = [s.weights for s in mean_variance_select(
-                m, count=count, seed=seed + t, risk_free=risk_free, workspace=workspace)]
+                m, count=count, seed=seed + t, workspace=workspace)]
         except DegenerateMarketError:
             picks = [Weights.equal(n)] * V
         for weights, w in zip(out, picks):

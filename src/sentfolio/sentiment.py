@@ -30,7 +30,7 @@ import math
 import re
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
 from pathlib import Path
@@ -57,16 +57,17 @@ MAX_COUNT = 2**53
 NEUTRAL_BAND = 0.05
 # Squash constant: polarity = s / sqrt(s^2 + NORM) for raw valence sum s.
 NORM = 15.0
-# Version of label_text's rules: raise it when the label or polarity that
-# label_text gives any text changes, so that stored labels are not reused.
+# Version of label_text's rules, NEGATIONS and INTENSIFIERS included: raise it
+# when the label or polarity that label_text gives any text changes, so that
+# stored labels are not reused.
 SCORER_VERSION = 2
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
-DEFAULT_NEGATIONS = frozenset(
+NEGATIONS = frozenset(
     {"not", "no", "never", "neither", "nor", "n't", "cannot", "without", "hardly"}
 )
-DEFAULT_INTENSIFIERS = {
+INTENSIFIERS = {
     "very": 1.5,
     "extremely": 1.8,
     "really": 1.4,
@@ -78,19 +79,15 @@ DEFAULT_INTENSIFIERS = {
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Token valences plus negation and intensifier rules; immutable."""
+    """Token valences; immutable.  The negation and intensifier rules are
+    NEGATIONS and INTENSIFIERS."""
 
     valences: dict[str, float]
-    negations: frozenset[str] = DEFAULT_NEGATIONS
-    intensifiers: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_INTENSIFIERS))
 
     def __post_init__(self):
         for tok, v in self.valences.items():
             if not -1.0 <= v <= 1.0:
                 raise ValidationError(f"lexicon valence out of [-1,1] for {tok!r}: {v}")
-        for tok, m in self.intensifiers.items():
-            if not m > 0:
-                raise ValidationError(f"intensifier multiplier must be > 0 for {tok!r}")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
@@ -176,16 +173,16 @@ def tokenize(text: str) -> list[str]:
 
 def score_text(text: str, lexicon: Lexicon) -> float:
     """Raw valence sum with negation flips and intensifier scaling."""
-    negations, intensifiers, valences = lexicon.negations, lexicon.intensifiers, lexicon.valences
+    valences = lexicon.valences
     total = 0.0
     flip = False
     scale = 1.0
     for tok in tokenize(text):
-        if tok in negations:
+        if tok in NEGATIONS:
             flip = True
             continue
-        if tok in intensifiers:
-            scale *= intensifiers[tok]
+        if tok in INTENSIFIERS:
+            scale *= INTENSIFIERS[tok]
             continue
         valence = valences.get(tok)
         if valence is not None:

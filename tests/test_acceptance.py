@@ -14,6 +14,7 @@ import pytest
 import scipy.stats
 
 from sentfolio.backtest import (
+    DEFAULT_INITIAL_CAPITAL,
     WealthCurve,
     annualized_return,
     fapv,
@@ -22,13 +23,10 @@ from sentfolio.backtest import (
 )
 from sentfolio.cli import REPORT_HEADER, main
 from sentfolio.forecast_lstm import LstmConfig, LstmModel, gradient_check, make_windows
-from sentfolio.pipeline import (
-    STRATEGY_BUY_HOLD,
-    STRATEGY_LSTM,
-    STRATEGY_LSTM_SENTIMENT,
-    run_pipeline,
-)
+from sentfolio.market_data import SplitSpec
+from sentfolio.pipeline import STRATEGY_BUY_HOLD, replicates, run_pipeline
 from sentfolio.portfolio_opt import (
+    DEFAULT_COV_WINDOW,
     Moments,
     Weights,
     mean_variance_select,
@@ -181,20 +179,15 @@ def test_criterion_7_directional_reproduction():
     """On the sentiment-driven synthetic market, LSTM+sentiment beats the
     neutralized LSTM over 10 seeds with paired-t p < 0.05, in under 10 min."""
     start = time.perf_counter()
-    cfg_base = dict(num_layers=1, hidden_size=16, learning_rate=0.01, epochs=150)
-    with_sent = []
-    without_sent = []
-    for i in range(10):
-        panel = make_panel(seed=100 + i, n_days=800)
-        result = run_pipeline(
-            panel,
-            lstm_config=LstmConfig(seed=i, **cfg_base),
-            mc_count=50_000,
-            mc_seed=i,
-            strategies=(STRATEGY_BUY_HOLD, STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT),
-        )
-        with_sent.append(result.curves[STRATEGY_LSTM_SENTIMENT].final_capital)
-        without_sent.append(result.curves[STRATEGY_LSTM].final_capital)
+    capitals = replicates(
+        ((make_panel(seed=100 + i, n_days=800), i, i) for i in range(10)),
+        SplitSpec(),
+        LstmConfig(num_layers=1, hidden_size=16, learning_rate=0.01, epochs=150),
+        mc_count=50_000,
+        cov_window=DEFAULT_COV_WINDOW,
+        initial_capital=DEFAULT_INITIAL_CAPITAL,
+    )
+    with_sent, without_sent = zip(*capitals)
     elapsed = time.perf_counter() - start
     ttest = paired_t_test(with_sent, without_sent)
     assert np.mean(with_sent) > np.mean(without_sent)
@@ -273,7 +266,7 @@ GOLDEN_ARTIFACTS = {
     "report.csv": "dd6eca6aa29ce0d2fa1bab99aa074290966c5c044f968554348d122f03159c1c",
     "report.json": "d6d0e07dfc79a13aef7066f39e8271b21fcf2a013ab51b63685f43146f90bcf0",
     "wealth.svg": "0f15b3700dcd517bde63772b0be95c2b38d2d6b8f853f8eb991a95d7d6335131",
-    "correlation.csv": "4c36597d36a0c3e16ca71f72f34cea748697881d331940b97fb65c00341b03da",
+    "correlation.csv": "3ae17c2345b97d986bfe40e2032691edaa2c2d017c1a8466a287b9fe777efd95",
     "granger.csv": "e1bfabd6c2957e46cbd1f3839a2f5db67d5d6046b93d643402bae3efe7eaaa66",
 }
 GOLDEN_PIPELINE = "2befb20721b106efbaa57358bd4c9d08685ef4500469f38b554e8cbfe0afd1ec"

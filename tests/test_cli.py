@@ -3,6 +3,7 @@ import datetime as dt
 import hashlib
 import io
 import json
+import math
 import time
 import warnings
 from pathlib import Path
@@ -13,8 +14,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from sentfolio import sentiment
-from sentfolio.cli import KEYS, LABELS_FILE, REPORT_HEADER, load_config, main, read_panel
-from sentfolio.synthetic import write_market_csv
+from sentfolio.cli import (
+    KEYS, LABELS_FILE, REPORT_HEADER, _weekly_stats_and_returns, load_config, main, read_panel,
+)
+from sentfolio.market_data import AlignedPanel
+from sentfolio.synthetic import make_panel, write_market_csv
 
 LEXICON = "good\t0.5\ngreat\t0.8\nbad\t-0.5\nawful\t-0.8\n"
 
@@ -581,6 +585,51 @@ def test_analyze_writes_nan_granger_rows_for_constant_ratio(tmp_path):
     for asset, _, f_stat, _, _, p, significant in rows:
         assert (f_stat == "nan" and p == "nan") == (asset == "CCC")
         assert asset != "CCC" or significant == "0"
+
+
+# -- weekly returns of correlation.csv --------------------------------------
+
+NO_SENTIMENT = sentiment.SentimentTable(
+    assets=(), day=np.empty(0, np.int64), asset=np.empty(0, np.int64), text=[],
+    label=np.empty(0, np.int8), polarity=np.empty(0), engagement=np.empty((0, 3), np.int64),
+    line=np.empty(0, np.int64))
+
+
+def _thinned(panel, keep):
+    rows = np.flatnonzero(keep)
+    return AlignedPanel([panel.dates[i] for i in rows], list(panel.assets), panel.values[rows])
+
+
+def test_weekly_return_runs_from_the_last_close_before_the_week():
+    # every third row dropped, and rows 20-29, so that a week has no date
+    rows = np.arange(100)
+    panel = _thinned(make_panel(seed=8, n_days=100), (rows % 3 != 1) & ((rows < 20) | (rows >= 30)))
+    close = np.asarray(panel.features["AAA"]["adj_close"])
+    week_of = [(d - panel.dates[0]).days // 7 for d in panel.dates]
+    last = {k: i for i, k in enumerate(week_of)}  # each week's last row
+    want, prev = [], 0
+    for k in sorted(last):
+        if last[k] > prev:
+            want.append(close[last[k]] / close[prev] - 1)
+        prev = last[k]
+    weeks, got = _weekly_stats_and_returns(panel, "AAA", NO_SENTIMENT)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert len(weeks) == len(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 50), n_days=st.integers(2, 60), drop=st.integers(0, 2**32 - 1))
+def test_weekly_returns_tile_the_period(seed, n_days, drop):
+    panel = make_panel(seed=seed, n_days=n_days)
+    keep = np.random.default_rng(drop).random(n_days) < 0.4
+    keep[[0, -1]] = True
+    panel = _thinned(panel, keep)
+    for asset in panel.assets:
+        close = np.asarray(panel.features[asset]["adj_close"])
+        weeks, returns = _weekly_stats_and_returns(panel, asset, NO_SENTIMENT)
+        assert len(weeks) == len(returns)
+        assert math.prod(1.0 + r for r in returns) == pytest.approx(
+            close[-1] / close[0], rel=1e-12, abs=0.0)
 
 
 # -- exit-code contract for the sentiment file ------------------------------

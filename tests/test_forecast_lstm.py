@@ -197,8 +197,7 @@ class TestTrain:
     def test_report_refuses_best_epoch_off_the_argmin(self, best_epoch):
         # -2 indexes the minimum from the end; 3 is past the last epoch
         with pytest.raises(SentfolioError, match="argmin") as info:
-            TrainReport(train_mse=[3.0, 2.0, 1.5], val_mse=[2.0, 1.0, 1.5],
-                        best_epoch=best_epoch, wall_time=0.0)
+            TrainReport(train_mse=[3.0, 2.0, 1.5], val_mse=[2.0, 1.0, 1.5], best_epoch=best_epoch)
         assert not isinstance(info.value, USER_ERRORS)  # a defect: exit 1
 
 

@@ -172,18 +172,17 @@ def test_frontier_variance_matches_einsum(n_assets):
     for cov in (random_cov(rng, n_assets), np.zeros((n_assets, n_assets))):
         m = Moments(mu=mu, cov=cov)
         for count in (1, 7, 50_000):
-            for risk_free in (0.0, 0.0003):
-                W, vol, rows = frontier_samples(m, count, seed=count, risk_free=risk_free)
-                ((exp_ret, sharpe),) = rows
-                draws = np.random.default_rng(count).exponential(size=(count, n_assets))
-                assert_bits(W, draws / draws.sum(axis=1, keepdims=True))
-                variance = np.einsum("ij,jk,ik->i", W, cov, W)
-                expected_vol = np.sqrt(np.maximum(variance, 0.0))
-                assert_bits(exp_ret, W @ mu)
-                assert_bits(vol, expected_vol)
-                assert_bits(sharpe, np.where(
-                    expected_vol < VOL_FLOOR, 0.0,
-                    (W @ mu - risk_free) / np.maximum(expected_vol, VOL_FLOOR)))
+            W, vol, rows = frontier_samples(m, count, seed=count)
+            ((exp_ret, sharpe),) = rows
+            draws = np.random.default_rng(count).exponential(size=(count, n_assets))
+            assert_bits(W, draws / draws.sum(axis=1, keepdims=True))
+            variance = np.einsum("ij,jk,ik->i", W, cov, W)
+            expected_vol = np.sqrt(np.maximum(variance, 0.0))
+            assert_bits(exp_ret, W @ mu)
+            assert_bits(vol, expected_vol)
+            # a zero-volatility sample gets Sharpe 0
+            assert_bits(sharpe, np.where(
+                expected_vol < VOL_FLOOR, 0.0, (W @ mu) / np.maximum(expected_vol, VOL_FLOOR)))
 
 
 @pytest.mark.parametrize("n_assets", range(1, 13))
@@ -195,16 +194,13 @@ def test_shared_selection_matches_single_rows(n_assets):
     for n_rows in (1, 2, 3):
         mus = rng.normal(0.001, 0.01, (n_rows, n_assets))
         for count in (1, 7, 50_000):
-            for risk_free in (0.0, 0.0003):
-                shared = mean_variance_select(Moments(mu=mus, cov=cov), count,
-                                              seed=count, risk_free=risk_free)
-                assert len(shared) == n_rows
-                for mu, got in zip(mus, shared):
-                    (want,) = mean_variance_select(Moments(mu=mu, cov=cov), count,
-                                                   seed=count, risk_free=risk_free)
-                    assert_bits(got.weights.as_array(), want.weights.as_array())
-                    for field in ("exp_return", "volatility", "sharpe"):
-                        assert_bits(getattr(got, field), getattr(want, field))
+            shared = mean_variance_select(Moments(mu=mus, cov=cov), count, seed=count)
+            assert len(shared) == n_rows
+            for mu, got in zip(mus, shared):
+                (want,) = mean_variance_select(Moments(mu=mu, cov=cov), count, seed=count)
+                assert_bits(got.weights.as_array(), want.weights.as_array())
+                for field in ("exp_return", "volatility", "sharpe"):
+                    assert_bits(getattr(got, field), getattr(want, field))
         flat = Moments(mu=mus, cov=np.zeros((n_assets, n_assets)))
         with pytest.raises(DegenerateMarketError):
             mean_variance_select(flat, 7, seed=7)
@@ -213,14 +209,12 @@ def test_shared_selection_matches_single_rows(n_assets):
 def test_frontier_rows_are_single_gemvs():
     rng = np.random.default_rng(5)
     mus = rng.normal(0.001, 0.01, (3, 5))
-    W, vol, rows = frontier_samples(Moments(mu=mus, cov=random_cov(rng, 5)), 50_000,
-                                    seed=3, risk_free=0.0003)
+    W, vol, rows = frontier_samples(Moments(mu=mus, cov=random_cov(rng, 5)), 50_000, seed=3)
     scored = list(rows)
     assert len(scored) == 3
     for mu, (exp_ret, sharpe) in zip(mus, scored):
         assert_bits(exp_ret, W @ mu)
-        assert_bits(sharpe, np.where(vol < VOL_FLOOR, 0.0,
-                                     (W @ mu - 0.0003) / np.maximum(vol, VOL_FLOOR)))
+        assert_bits(sharpe, np.where(vol < VOL_FLOOR, 0.0, (W @ mu) / np.maximum(vol, VOL_FLOOR)))
 
 
 # -- one Monte-Carlo workspace across days ----------------------------------
@@ -234,7 +228,7 @@ def test_standard_exponential_into_out_matches_exponential():
 
 def select_or_degenerate(m, count, seed, workspace=None):
     try:
-        return mean_variance_select(m, count, seed=seed, risk_free=0.0003, workspace=workspace)
+        return mean_variance_select(m, count, seed=seed, workspace=workspace)
     except DegenerateMarketError:
         return None
 

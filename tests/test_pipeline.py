@@ -1,8 +1,13 @@
+import dataclasses
 import datetime as dt
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sentfolio
 from sentfolio.backtest import DEFAULT_INITIAL_CAPITAL
 from sentfolio.errors import ConfigurationError, InsufficientDataError
 from sentfolio.forecast_lstm import LstmConfig
@@ -11,14 +16,18 @@ from sentfolio.market_data import (
 )
 from sentfolio.pipeline import (
     ALL_STRATEGIES,
+    LSTM_VARIANTS,
     STRATEGY_BUY_HOLD,
     STRATEGY_LSTM,
     STRATEGY_LSTM_SENTIMENT,
     neutralize_sentiment,
     predict_test_segment,
+    replicates,
     run_pipeline,
     train_forecaster,
+    train_variants,
 )
+from sentfolio.portfolio_opt import DEFAULT_COV_WINDOW
 from sentfolio.synthetic import make_panel
 
 FAST_LSTM = LstmConfig(hidden_size=4, num_layers=1, epochs=3, seed=0)
@@ -62,21 +71,56 @@ class TestNeutralizeSentiment:
 
 
 class TestTrainForecaster:
-    def test_test_start_index(self, panel):
-        _, _, test_start = train_forecaster(panel, SplitSpec(), FAST_LSTM)
-        tr, va, te = split_chronological(panel, SplitSpec())
-        assert test_start == tr.n_rows + va.n_rows
-        assert panel.n_rows - test_start == te.n_rows
-
     def test_prediction_covers_every_test_row(self, panel):
-        model, _, test_start = train_forecaster(panel, SplitSpec(), FAST_LSTM)
-        preds = predict_test_segment(model, panel, test_start)
-        assert preds.shape == (panel.n_rows - test_start, len(panel.assets))
+        model, _ = train_forecaster(panel, SplitSpec(), FAST_LSTM)
+        tr, va, te = split_chronological(panel, SplitSpec())
+        preds = predict_test_segment(model, panel, tr.n_rows + va.n_rows)
+        assert preds.shape == (te.n_rows, len(panel.assets))
 
     def test_insufficient_context(self, panel):
-        model, _, _ = train_forecaster(panel, SplitSpec(), FAST_LSTM)
+        model, _ = train_forecaster(panel, SplitSpec(), FAST_LSTM)
         with pytest.raises(InsufficientDataError):
             predict_test_segment(model, panel, 3)
+
+
+class TestTrainVariants:
+    def test_each_variant_reads_its_panel(self, panel):
+        trained = train_variants(panel, SplitSpec(), FAST_LSTM)
+        assert tuple(trained) == LSTM_VARIANTS
+        _, _, flat = trained[STRATEGY_LSTM]
+        np.testing.assert_array_equal(flat.values, neutralize_sentiment(panel).values)
+        assert trained[STRATEGY_LSTM_SENTIMENT][2] is panel
+
+    def test_models_match_train_forecaster(self, panel):
+        (name, (model, report, _)), = train_variants(
+            panel, SplitSpec(), FAST_LSTM, (STRATEGY_LSTM_SENTIMENT,)).items()
+        alone, alone_report = train_forecaster(panel, SplitSpec(), FAST_LSTM)
+        assert name == STRATEGY_LSTM_SENTIMENT
+        assert model.theta.tobytes() == alone.theta.tobytes()
+        assert report == alone_report
+
+
+def test_only_the_pipeline_builds_the_variants():
+    # one definition of which panel each LSTM variant reads: train_variants
+    calls = {name: [f"{path.name}:{n}"
+                    for path in sorted(Path(sentfolio.__file__).parent.glob("*.py"))
+                    for n, line in enumerate(path.read_text().splitlines(), start=1)
+                    if re.search(rf"\b{name}\(", line) and not line.startswith("def ")]
+             for name in ("neutralize_sentiment", "train_forecaster")}
+    assert {name: [c.split(":")[0] for c in found] for name, found in calls.items()} == {
+        "neutralize_sentiment": ["pipeline.py"], "train_forecaster": ["pipeline.py"]}, calls
+
+
+class TestReplicates:
+    def test_runs_give_the_pipeline_capitals(self, panel, result):
+        capitals = replicates([(panel, 0, 0), (panel, 1, 7)], SplitSpec(), FAST_LSTM,
+                              500, DEFAULT_COV_WINDOW, DEFAULT_INITIAL_CAPITAL)
+        other = run_pipeline(panel, lstm_config=dataclasses.replace(FAST_LSTM, seed=1),
+                             mc_count=500, mc_seed=7)
+        assert capitals == [
+            (r.curves[STRATEGY_LSTM_SENTIMENT].final_capital, r.curves[STRATEGY_LSTM].final_capital)
+            for r in (result, other)]
+        assert capitals[0] != capitals[1]
 
 
 class TestRunPipeline:
@@ -162,6 +206,32 @@ class TestMetamorphic:
             assert _weight_bytes(doubled.curves[name]) == _weight_bytes(result.curves[name]), name
             twice = 2 * np.array(result.curves[name].values)
             assert np.array(doubled.curves[name].values).tobytes() == twice.tobytes(), name
+
+
+@settings(max_examples=10, deadline=None)
+@given(cut=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+def test_no_look_ahead(panel, result, cut, seed):
+    """Weight row t is chosen at test row t's close and wealth value k uses
+    prices up to row k, so changing every feature from test row c on leaves
+    every strategy's first c weight rows and wealth values bit-identical."""
+    train, val, _ = split_chronological(panel, SplitSpec())
+    m = len(result.curves[STRATEGY_BUY_HOLD].values)
+    c = 1 + cut % (m - 1)
+    values = panel.values.copy()
+    first = train.n_rows + val.n_rows + c
+    values[first:] *= np.random.default_rng(seed).uniform(0.5, 1.5, values[first:].shape)
+    changed = run_pipeline(AlignedPanel(list(panel.dates), list(panel.assets), values),
+                           lstm_config=FAST_LSTM, mc_count=500)
+    for name in ALL_STRATEGIES:
+        mine, theirs = changed.curves[name], result.curves[name]
+        assert _weight_bytes_until(mine, c) == _weight_bytes_until(theirs, c), name
+        assert mine.values[:c] == theirs.values[:c], name
+    # the change reaches the test period: row c's wealth moves
+    assert changed.curves[STRATEGY_BUY_HOLD].values[c] != result.curves[STRATEGY_BUY_HOLD].values[c]
+
+
+def _weight_bytes_until(curve, c):
+    return np.array([w.values for w in curve.weights[:c]]).tobytes()
 
 
 class TestTestWindow:

@@ -112,11 +112,6 @@ class TestPortfolioStats:
         m = Moments(mu=np.array([0.05]), cov=np.zeros((1, 1)))
         assert portfolio_stats(Weights.equal(1), m).sharpe == 0.0
 
-    def test_risk_free_subtracted(self):
-        m = Moments(mu=np.array([0.10, 0.10]), cov=0.01 * np.eye(2))
-        s = portfolio_stats(Weights.equal(2), m, risk_free=0.02)
-        assert s.sharpe == pytest.approx(0.08 / s.volatility)
-
     @given(st.floats(0.01, 0.99))
     @settings(max_examples=30)
     def test_two_asset_variance_formula(self, w0):

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from sentfolio.errors import ParseError, ValidationError
 from sentfolio.sentiment import (
+    INTENSIFIERS,
     LABELS,
+    NEGATIONS,
     Lexicon,
     SentimentTable,
     audit_labels,
@@ -338,11 +340,11 @@ class Record:
 def reference_label_text(text, lexicon):
     total, flip, scale = 0.0, False, 1.0
     for tok in _TOKEN_RE.findall(text.lower()):
-        if tok in lexicon.negations:
+        if tok in NEGATIONS:
             flip = True
             continue
-        if tok in lexicon.intensifiers:
-            scale *= lexicon.intensifiers[tok]
+        if tok in INTENSIFIERS:
+            scale *= INTENSIFIERS[tok]
             continue
         valence = lexicon.valences.get(tok)
         if valence is not None:
