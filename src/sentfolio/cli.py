@@ -204,14 +204,9 @@ def load_config(path: str | Path, seed_override: int | None = None,
         value = default if given.get(key) is None else given[key]
         value = None if value is None else _checked(key, value, kind, bound, path.parent)
         nested.get(key.split(".")[0], top)[name] = value
-    n = len(top["assets"])
     if seed_override is not None:
         nested["lstm"]["seed"] = seed_override
         raw = dict(raw, lstm=dict(raw.get("lstm") or {}, seed=seed_override))
-    for key, need in (("lstm.input_width", n * len(FEATURE_NAMES)), ("lstm.n_outputs", n)):
-        if given.get(key) not in (None, need):
-            raise ConfigurationError(f"{key} is {given[key]}, but {n} assets need {need}")
-        nested["lstm"][KEYS[key].field] = need
     if out_override:
         top["out_dir"] = Path(out_override).resolve()
     return RunConfig(**top, split=SplitSpec(**nested["split"]),
@@ -266,7 +261,7 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
         path = cfg.data_dir / f"{asset}.csv"
         if not path.exists():
             raise ConfigurationError(f"missing asset file: {path}")
-        series.append(load_prices(path, asset_id=asset))
+        series.append(load_prices(path))
     # a bad sentiment file is reported before an alignment error
     table = None if cfg.sentiment_file is None else sentiment_table(cfg)
     panel = align_panel(series)

@@ -22,6 +22,15 @@ at B = 194 and 554, and at B = 1 it changes every shape tried.
 Each epoch re-scores the whole train set only to log ``train_mse``.  Dropping
 that pass waits for a benchmark change, because the benchmark pins
 ``forecast_lstm.loss.calls`` at 2 per epoch and model.
+
+The panel sizes the network: ``LstmModel(config, n_assets)`` reads
+``n_assets * len(FEATURE_NAMES)`` features and predicts ``n_assets`` prices,
+the ``PRICE_COLUMNS`` of the feature matrix.  A checkpoint (format 2) is one
+JSON object holding ``config``, ``n_assets``, the input scaler's ``min`` and
+``span``, and ``theta`` as one list; the target scaler is its
+``PRICE_COLUMNS``, so it is not stored.  JSON writes each float's shortest
+round-tripping repr, so a loaded model forecasts bit for bit as the saved
+one, and saving it again gives the same bytes.
 """
 
 from __future__ import annotations
@@ -35,21 +44,19 @@ import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, DivergenceError,
                      InsufficientDataError, SentfolioError)
-from .market_data import AlignedPanel
+from .market_data import FEATURE_NAMES, PRICE_COLUMNS, AlignedPanel
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 
 @dataclass
 class LstmConfig:
-    input_width: int = 30
     hidden_size: int = 13
     num_layers: int = 3
-    n_outputs: int = 5
     learning_rate: float = 0.004
     window: int = 6
     batch_size: int = 32
@@ -57,8 +64,7 @@ class LstmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("input_width", "hidden_size", "num_layers", "n_outputs",
-                     "window", "batch_size", "epochs"):
+        for name in ("hidden_size", "num_layers", "window", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"lstm.{name} must be >= 1")
         if not self.learning_rate > 0:
@@ -110,7 +116,7 @@ class MinMaxScaler:
             raise DimensionError("scaler not fitted")
         return np.asarray(X, dtype=float) * self.span_ + self.min_
 
-    def subset(self, columns: list[int]) -> "MinMaxScaler":
+    def subset(self, columns: slice) -> "MinMaxScaler":
         out = MinMaxScaler()
         out.min_ = self.min_[columns].copy()
         out.span_ = self.span_[columns].copy()
@@ -136,23 +142,22 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
 
 class LstmModel:
     """Joint multi-asset forecaster; one network maps the stacked feature
-    window to all asset prices at once.
+    window of ``n_assets`` assets to all their prices at once.
 
     ``theta`` is updated in place only: ``W``, ``U``, ``b``, ``W_out`` and
     ``b_out`` are views of it."""
 
-    def __init__(self, config: LstmConfig):
+    def __init__(self, config: LstmConfig, n_assets: int):
         self.config = config
+        self.n_assets = n_assets
         self.scaler = MinMaxScaler()
-        self.target_scaler: MinMaxScaler | None = None
-        self.target_columns: list[int] = []
         H = config.hidden_size
         self._shapes: list[tuple[int, ...]] = []
-        in_dim = config.input_width
+        in_dim = n_assets * len(FEATURE_NAMES)
         for _ in range(config.num_layers):
             self._shapes += [(in_dim, 4 * H), (H, 4 * H), (4 * H,)]
             in_dim = H
-        self._shapes += [(H, config.n_outputs), (config.n_outputs,)]
+        self._shapes += [(H, n_assets), (n_assets,)]
         self._bounds = np.cumsum([0] + [math.prod(s) for s in self._shapes]).tolist()
         self.theta = np.zeros(self._bounds[-1])
         params = self._split(self.theta)
@@ -176,29 +181,26 @@ class LstmModel:
         bounds = self._bounds
         return [vec[lo:hi].reshape(s) for lo, hi, s in zip(bounds, bounds[1:], self._shapes)]
 
-    def parameters(self) -> list[np.ndarray]:
-        return self._split(self.theta)
-
-    def set_parameters(self, params: list[np.ndarray]) -> None:
-        for dst, src in zip(self.parameters(), params):
-            dst[...] = src
-
-    def fit_scaler(self, train_features: np.ndarray, target_columns: list[int]) -> None:
-        """Fit min/max on the training split only; never refit afterwards."""
+    def fit_scaler(self, train_features: np.ndarray) -> None:
+        """Fit min/max on the training split's feature matrix only; never
+        refit afterwards."""
         self.scaler.fit(train_features)
-        self.target_columns = list(target_columns)
-        self.target_scaler = self.scaler.subset(self.target_columns)
+
+    @property
+    def target_scaler(self) -> MinMaxScaler:
+        """The scaling of the forecast targets: ``scaler``'s PRICE_COLUMNS."""
+        return self.scaler.subset(PRICE_COLUMNS)
 
     # -- forward / backward -------------------------------------------------
 
     def _forward_scaled(self, X: np.ndarray):
-        """X: (B, T, F) scaled. Returns (B, n_outputs) scaled predictions and
+        """X: (B, T, F) scaled. Returns (B, n_assets) scaled predictions and
         the per-layer (inputs, gates, c, h) arrays that backward reads."""
-        cfg = self.config
-        if X.ndim != 3 or X.shape[2] != cfg.input_width:
-            raise DimensionError(f"expected (B, T, {cfg.input_width}), got {X.shape}")
+        width = self.W[0].shape[0]
+        if X.ndim != 3 or X.shape[2] != width:
+            raise DimensionError(f"expected (B, T, {width}), got {X.shape}")
         B, T, _ = X.shape
-        H = cfg.hidden_size
+        H = self.config.hidden_size
         layers = []
         xs = X.transpose(1, 0, 2)
         hU = np.empty((B, 4 * H))
@@ -224,7 +226,7 @@ class LstmModel:
         return xs[-1] @ self.W_out + self.b_out, layers
 
     def _backward(self, dY: np.ndarray, layers) -> np.ndarray:
-        """Gradient in theta order, given dLoss/dY (B, n_outputs)."""
+        """Gradient in theta order, given dLoss/dY (B, n_assets)."""
         H = self.config.hidden_size
         grad = np.zeros_like(self.theta)
         views = self._split(grad)
@@ -291,7 +293,8 @@ class LstmModel:
         return self.scaler.transform(X.reshape(B * T, F)).reshape(B, T, F)
 
     def forward(self, window: np.ndarray) -> np.ndarray:
-        """One raw 6x30 window (or a batch) to unscaled next-day prices."""
+        """One raw (window, F) feature window (or a batch) to unscaled next-day
+        prices, F being 6 per asset."""
         single = window.ndim == 2
         X = window[None, ...] if single else window
         if X.shape[1] != self.config.window:
@@ -314,16 +317,14 @@ class LstmModel:
 
 def make_windows(panel: AlignedPanel, window: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Sliding stride-1 windows: inputs (N, window, F) raw features, targets
-    (N, n_assets) raw prices at the row following each window."""
+    (N, n_assets) raw prices, the PRICE_COLUMNS of the row following each
+    window."""
     feats = panel.feature_matrix()
-    prices = panel.price_matrix()
     n = feats.shape[0]
     if n < window + 1:
         raise InsufficientDataError(f"need >= {window + 1} rows, have {n}")
-    count = n - window
-    X = np.stack([feats[k : k + window] for k in range(count)])
-    Y = np.stack([prices[k + window] for k in range(count)])
-    return X, Y
+    X = np.stack([feats[k : k + window] for k in range(n - window)])
+    return X, feats[window:, PRICE_COLUMNS].copy()
 
 
 def train(
@@ -423,16 +424,15 @@ def predict_series(model: LstmModel, panel: AlignedPanel):
 # -- checkpointing ----------------------------------------------------------
 
 def save_checkpoint(model: LstmModel, path: str | Path) -> None:
-    cfg = model.config
     payload = {
         "format": CHECKPOINT_FORMAT,
-        "config": cfg.__dict__,
+        "config": model.config.__dict__,
+        "n_assets": model.n_assets,
         "scaler": {
             "min": model.scaler.min_.tolist(),
             "span": model.scaler.span_.tolist(),
         },
-        "target_columns": model.target_columns,
-        "parameters": [p.tolist() for p in model.parameters()],
+        "theta": model.theta.tolist(),
     }
     Path(path).write_text(json.dumps(payload))
 
@@ -441,10 +441,8 @@ def load_checkpoint(path: str | Path) -> LstmModel:
     payload = json.loads(Path(path).read_text())
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise DimensionError(f"unsupported checkpoint format {payload.get('format')}")
-    model = LstmModel(LstmConfig(**payload["config"]))
+    model = LstmModel(LstmConfig(**payload["config"]), payload["n_assets"])
     model.scaler.min_ = np.asarray(payload["scaler"]["min"], dtype=float)
     model.scaler.span_ = np.asarray(payload["scaler"]["span"], dtype=float)
-    model.target_columns = list(payload["target_columns"])
-    model.target_scaler = model.scaler.subset(model.target_columns)
-    model.set_parameters([np.asarray(p, dtype=float) for p in payload["parameters"]])
+    model.theta[...] = payload["theta"]
     return model

@@ -22,6 +22,8 @@ from .errors import (
 # Per-asset feature column order used everywhere downstream.
 FEATURE_NAMES = ("adj_close", "likes", "retweets", "comments", "volume", "ratio")
 PRICE_INDEX = FEATURE_NAMES.index("adj_close")
+# The adj_close columns of AlignedPanel.feature_matrix(): the forecast targets.
+PRICE_COLUMNS = slice(PRICE_INDEX, None, len(FEATURE_NAMES))
 
 # The sentiment features and the values of a day without sentiment rows;
 # SENTIMENT_INDEX holds their positions in FEATURE_NAMES, in this order.
@@ -119,19 +121,14 @@ class AlignedPanel:
         """(n_rows, n_assets) adjusted closes (a view)."""
         return self.values[:, :, PRICE_INDEX]
 
-    def price_column_indices(self) -> list[int]:
-        """Column positions of adj_close inside feature_matrix()."""
-        step = len(FEATURE_NAMES)
-        return [i * step + PRICE_INDEX for i in range(len(self.assets))]
-
     def slice(self, start: int, stop: int) -> "AlignedPanel":
         """Rows [start, stop), sharing ``values`` with this panel."""
         return AlignedPanel(self.dates[start:stop], list(self.assets), self.values[start:stop])
 
 
-def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
+def load_prices(path: str | Path) -> PriceSeries:
     """Parse one per-asset CSV with columns date, adj_close and volume, read
-    by ``csvfile.read_csv``.
+    by ``csvfile.read_csv``, as the series of the asset the file's stem names.
 
     Rows are sorted by date.  A malformed field, a non-positive or
     non-finite price or a bad volume is rejected with its file line named;
@@ -140,7 +137,6 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
     path = Path(path)
     if not path.exists():
         raise ParseError(f"price file not found: {path}")
-    asset = asset_id or path.stem
     rows: list[tuple[dt.date, float, float]] = []
     with read_csv(path, ("date", "adj_close", "volume")) as (header, records):
         column = {name: i for i, name in enumerate(header)}
@@ -165,7 +161,7 @@ def load_prices(path: str | Path, asset_id: str | None = None) -> PriceSeries:
         if rows[i][0] == rows[i - 1][0]:
             raise ValidationError(f"{path}: duplicate date {rows[i][0]}")
     return PriceSeries(
-        asset_id=asset,
+        asset_id=path.stem,
         dates=[r[0] for r in rows],
         adj_close=[r[1] for r in rows],
         volume=[r[2] for r in rows],

@@ -63,8 +63,8 @@ def train_forecaster(
 ) -> tuple[LstmModel, TrainReport]:
     """Fit scaler on the train split, train on train/val windows."""
     train_panel, val_panel, _ = split_chronological(panel, split)
-    model = LstmModel(config)
-    model.fit_scaler(train_panel.feature_matrix(), panel.price_column_indices())
+    model = LstmModel(config, len(panel.assets))
+    model.fit_scaler(train_panel.feature_matrix())
     report = train(
         model,
         make_windows(train_panel, config.window),

@@ -44,8 +44,8 @@ def test_criterion_1_gradient_integrity():
     start = time.perf_counter()
     worst = 0.0
     for seed in range(5):
-        model = LstmModel(LstmConfig(seed=seed))
-        model.fit_scaler(panel.feature_matrix(), panel.price_column_indices())
+        model = LstmModel(LstmConfig(seed=seed), len(panel.assets))
+        model.fit_scaler(panel.feature_matrix())
         err = gradient_check(model, (X, Y), probe_count=200, seed=seed)
         worst = max(worst, err)
     elapsed = time.perf_counter() - start

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import datetime as dt
 import hashlib
 import io
 import json
 import math
+import tempfile
 import time
 import warnings
 from pathlib import Path
@@ -390,10 +392,10 @@ BAD_INPUTS = {
         "ingest", _config_edit("assets: [AAA, BBB, CCC]", "assets: 5"), "assets must be a list"),
     "data_dir not a path": (
         "ingest", _config_edit("data_dir: data", "data_dir: [data]"), "data_dir must be a path"),
-    "lstm width disagrees with assets": (
+    "lstm input_width is no key": (
         "ingest", lambda root: _edit(root / "config.yaml", "  hidden_size: 4",
-                                     "  hidden_size: 4\n  input_width: 30"),
-        "lstm.input_width is 30"),
+                                     "  hidden_size: 4\n  input_width: 18"),
+        "unknown key lstm.input_width"),
     "unknown lstm key": (
         "ingest", lambda root: _edit(root / "config.yaml", "hidden_size:", "hidden:"),
         "hidden"),
@@ -556,9 +558,58 @@ def test_three_asset_chain(tmp_path):
     for command in ("ingest", "train", "backtest", "report"):
         assert run(root, command) == 0, command
     checkpoint = json.loads(artifact(root, "lstm.json").read_text())
-    assert (checkpoint["config"]["input_width"], checkpoint["config"]["n_outputs"]) == (18, 3)
+    assert checkpoint["n_assets"] == 3
+    H, inputs = 4, 3 * 6  # hidden_size 4, one layer, 6 features per asset
+    assert len(checkpoint["theta"]) == inputs * 4 * H + H * 4 * H + 4 * H + H * 3 + 3
     lines = artifact(root, "report.csv").read_text().splitlines()
     assert len(lines) == 2 + 5  # stamp + header + one row per strategy
+
+
+def _scale_from(path, first, columns, rng, write):
+    """Multiply the ``columns`` of each row of the CSV at ``path`` dated
+    ``first`` or later by U(0.5, 1.5) factors, each value written by ``write``."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    at = [header.index(name) for name in columns]
+    for row in rows:
+        if row[0] >= first:
+            for i in at:
+                row[i] = write(float(row[i]) * rng.uniform(0.5, 1.5))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+@pytest.fixture(scope="module")
+def backtested(tmp_path_factory):
+    root = populate(tmp_path_factory.mktemp("backtested"), THREE_ASSETS)
+    for command in ("ingest", "backtest"):
+        assert run(root, command) == 0, command
+    return root
+
+
+@settings(max_examples=10, deadline=None)
+@given(cut=st.integers(1, 1000), seed=st.integers(0, 2**32 - 1))
+def test_no_look_ahead_through_the_files(backtested, cut, seed):
+    """Changing the price files' closes and the sentiment rows' engagement
+    counts from test row c's date on leaves the first c values of
+    wealth_curves.csv byte-identical and moves value c."""
+    before = artifact(backtested, "wealth_curves.csv").read_text().splitlines()[2:]
+    c = 1 + cut % (len(before) - 1)
+    first = before[c].split(",")[0]
+    rng = np.random.default_rng(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = populate(Path(tmp), THREE_ASSETS)
+        for asset in ("AAA", "BBB", "CCC"):
+            _scale_from(root / "data" / f"{asset}.csv", first, ["adj_close"], rng,
+                        lambda v: f"{v:.6f}")
+        _scale_from(root / "data" / "sentiment.csv", first, ["likes", "retweets", "comments"],
+                    rng, lambda v: str(round(v)))
+        for command in ("ingest", "backtest"):
+            assert run(root, command, "--out", f"{tmp}/changed") == 0, command
+        after = Path(tmp, "changed", "wealth_curves.csv").read_text().splitlines()[2:]
+    assert after[:c] == before[:c]
+    assert after[c].split(",")[0] == first
+    assert all(a != b for a, b in zip(after[c].split(",")[1:], before[c].split(",")[1:]))
 
 
 def test_backtest_without_replicates_drops_their_old_file(tmp_path):

@@ -20,7 +20,8 @@ from sentfolio.forecast_lstm import (
     save_checkpoint,
     train,
 )
-from sentfolio.market_data import SplitSpec, align_panel, split_chronological
+from sentfolio.market_data import PRICE_COLUMNS, SplitSpec, align_panel, split_chronological
+from sentfolio.synthetic import make_panel
 
 from conftest import make_prices
 
@@ -30,16 +31,22 @@ def single_asset_panel(closes):
 
 
 def small_config(**kw):
-    defaults = dict(input_width=6, hidden_size=8, num_layers=1, n_outputs=1,
-                    batch_size=16, epochs=50, seed=3)
+    defaults = dict(hidden_size=8, num_layers=1, batch_size=16, epochs=50, seed=3)
     defaults.update(kw)
     return LstmConfig(**defaults)
 
 
 def fitted_model(panel, config):
-    model = LstmModel(config)
-    model.fit_scaler(panel.feature_matrix(), panel.price_column_indices())
+    model = LstmModel(config, len(panel.assets))
+    model.fit_scaler(panel.feature_matrix())
     return model
+
+
+def views(model):
+    """The named weights of ``model``, in theta order."""
+    layers = [p for l in range(model.config.num_layers)
+              for p in (model.W[l], model.U[l], model.b[l])]
+    return layers + [model.W_out, model.b_out]
 
 
 class TestScaler:
@@ -90,7 +97,7 @@ class TestForward:
     def test_zero_params_zero_input(self):
         panel = single_asset_panel([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
         model = fitted_model(panel, small_config())
-        model.set_parameters([np.zeros_like(p) for p in model.parameters()])
+        model.theta[...] = 0.0
         # scaled zero input -> scaled zero output -> inverse of zero vector
         expected = model.target_scaler.inverse(np.zeros(1))
         # forward() scales the raw window first, so feed the raw values that
@@ -111,31 +118,35 @@ class TestForward:
             model.forward(np.zeros((3, 6)))
 
     def test_hand_unrolled_tiny_net(self):
-        # 1 layer, hidden 2, input width 1, 2 timesteps, hand-set weights;
-        # oracle below unrolls the cell recurrence with plain floats
-        cfg = LstmConfig(input_width=1, hidden_size=2, num_layers=1, n_outputs=1,
-                         window=2, epochs=1, seed=0)
-        model = LstmModel(cfg)
-        model.scaler.min_ = np.zeros(1)
-        model.scaler.span_ = np.ones(1)
-        model.target_columns = [0]
-        model.target_scaler = model.scaler.subset([0])
-        W = np.array([[0.3, -0.2, 0.5, 0.1, -0.4, 0.25, 0.6, -0.1]])
+        # 1 asset (6 inputs), 1 layer, hidden 2, 2 timesteps, hand-set
+        # weights; oracle below unrolls the cell recurrence with plain floats
+        cfg = LstmConfig(hidden_size=2, num_layers=1, window=2, epochs=1, seed=0)
+        model = LstmModel(cfg, 1)
+        model.scaler.min_ = np.zeros(6)
+        model.scaler.span_ = np.ones(6)
+        W = np.array([[0.3, -0.2, 0.5, 0.1, -0.4, 0.25, 0.6, -0.1],
+                      [0.05, 0.1, -0.15, 0.2, 0.0, -0.3, 0.1, 0.2],
+                      [-0.1, 0.3, 0.2, -0.05, 0.15, 0.1, -0.2, 0.05],
+                      [0.2, -0.1, 0.05, 0.1, -0.25, 0.3, 0.0, -0.15],
+                      [0.0, 0.15, -0.2, 0.25, 0.1, -0.05, 0.3, 0.1],
+                      [-0.3, 0.05, 0.1, 0.0, 0.2, 0.15, -0.1, 0.25]])
         U = np.array([[0.1, 0.2, -0.3, 0.4, 0.05, -0.15, 0.2, 0.3],
                       [-0.2, 0.1, 0.4, -0.3, 0.2, 0.1, -0.25, 0.15]])
         b = np.array([0.01, -0.02, 1.0, 1.1, 0.03, -0.04, 0.05, 0.06])
         Wo = np.array([[0.7], [-0.9]])
         bo = np.array([0.2])
-        model.set_parameters([W, U, b, Wo, bo])
+        for view, value in zip(views(model), (W, U, b, Wo, bo)):
+            view[...] = value
 
         def sig(v):
             return 1.0 / (1.0 + math.exp(-v))
 
-        x = [0.4, -0.6]
+        x = [[0.4, 0.1, -0.2, 0.7, 0.0, 1.0], [-0.6, 0.3, 0.5, -0.1, 0.2, 0.9]]
         h = [0.0, 0.0]
         c = [0.0, 0.0]
         for t in range(2):
-            z = [x[t] * W[0, j] + h[0] * U[0, j] + h[1] * U[1, j] + b[j] for j in range(8)]
+            z = [sum(x[t][k] * W[k, j] for k in range(6))
+                 + h[0] * U[0, j] + h[1] * U[1, j] + b[j] for j in range(8)]
             i = [sig(z[0]), sig(z[1])]
             f = [sig(z[2]), sig(z[3])]
             g = [math.tanh(z[4]), math.tanh(z[5])]
@@ -143,7 +154,7 @@ class TestForward:
             c = [f[k] * c[k] + i[k] * g[k] for k in range(2)]
             h = [o[k] * math.tanh(c[k]) for k in range(2)]
         expected = h[0] * Wo[0, 0] + h[1] * Wo[1, 0] + bo[0]
-        got = model.forward(np.array(x).reshape(2, 1))
+        got = model.forward(np.array(x))
         assert got[0] == pytest.approx(expected, abs=1e-12)
 
 
@@ -162,15 +173,15 @@ class TestTrain:
         panel = single_asset_panel(closes)
         tr, va, te = split_chronological(panel, SplitSpec(0.7, 0.15, 0.15))
         cfg = small_config(epochs=300, hidden_size=12)
-        model = LstmModel(cfg)
-        model.fit_scaler(tr.feature_matrix(), panel.price_column_indices())
+        model = LstmModel(cfg, 1)
+        model.fit_scaler(tr.feature_matrix())
         Xtr, Ytr = make_windows(tr)
         Xva, Yva = make_windows(va)
         report = train(model, (Xtr, Ytr), (Xva, Yva))
         # persistence oracle: predict the day-6 price for day 7
         Xs = model.scale_inputs(Xva)
         Ys = model.target_scaler.transform(Yva)
-        persist = Xs[:, -1, panel.price_column_indices()]
+        persist = Xs[:, -1, PRICE_COLUMNS]
         persist_mse = float(np.mean((persist - Ys) ** 2))
         assert report.val_mse[report.best_epoch] < persist_mse
 
@@ -227,7 +238,7 @@ class TestGradientCheck:
     def test_zero_parameter_model(self):
         panel = single_asset_panel(list(np.linspace(10, 20, 15)))
         model = fitted_model(panel, small_config())
-        model.set_parameters([np.zeros_like(p) for p in model.parameters()])
+        model.theta[...] = 0.0
         X, Y = make_windows(panel)
         assert gradient_check(model, (X[0], Y[0]), probe_count=200, seed=2) < 1e-4
 
@@ -264,8 +275,8 @@ class TestPredictSeries:
 
 class TestParameterVector:
     def test_parameters_are_views_of_theta(self):
-        model = LstmModel(small_config(num_layers=2))
-        params = model.parameters()
+        model = LstmModel(small_config(num_layers=2), 1)
+        params = views(model)
         assert sum(p.size for p in params) == model.theta.size
         assert all(np.shares_memory(p, model.theta) for p in params)
         np.testing.assert_array_equal(
@@ -277,8 +288,8 @@ class TestParameterVector:
 
     def test_adam_step_matches_per_array_reference(self):
         cfg = small_config(num_layers=2)
-        model = LstmModel(cfg)
-        ref = [p.copy() for p in model.parameters()]
+        model = LstmModel(cfg, 1)
+        ref = [p.copy() for p in views(model)]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         rng = np.random.default_rng(5)
@@ -291,20 +302,22 @@ class TestParameterVector:
                 m_hat = mk / (1.0 - ADAM_BETA1**t)
                 v_hat = vk / (1.0 - ADAM_BETA2**t)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            for got, want in zip(model.parameters(), ref):
+            for got, want in zip(views(model), ref):
                 np.testing.assert_array_equal(got, want)
 
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
-        panel = single_asset_panel(list(np.linspace(10, 20, 15)))
-        model = fitted_model(panel, small_config())
-        X, _ = make_windows(panel)
+        panel = make_panel(seed=2, n_days=40, assets=("AAA", "BBB", "CCC"))
+        model = fitted_model(panel, small_config(epochs=2))
+        X, Y = make_windows(panel)
+        train(model, (X, Y), (X, Y))
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
         again = load_checkpoint(path)
-        np.testing.assert_array_equal(model.forward(X[0]), again.forward(X[0]))
-        assert again.config == model.config
+        assert again.forward(X).tobytes() == model.forward(X).tobytes()
+        assert again.theta.tobytes() == model.theta.tobytes()
+        assert again.config == model.config and again.n_assets == 3
         save_checkpoint(again, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
@@ -312,11 +325,9 @@ class TestCheckpoint:
 class TestGradientAcrossSeeds:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_init_gradients(self, seed, five_asset_panel):
-        cfg = LstmConfig(input_width=30, hidden_size=13, num_layers=3, n_outputs=5,
-                         epochs=1, seed=seed)
-        model = LstmModel(cfg)
-        model.fit_scaler(five_asset_panel.feature_matrix(),
-                         five_asset_panel.price_column_indices())
+        cfg = LstmConfig(hidden_size=13, num_layers=3, epochs=1, seed=seed)
+        model = LstmModel(cfg, 5)
+        model.fit_scaler(five_asset_panel.feature_matrix())
         X, Y = make_windows(five_asset_panel)
         # looser bound than the single-seed check: deep-layer gradients can be
         # ~1e-8, where central differences lose digits to cancellation

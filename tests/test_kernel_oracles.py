@@ -137,12 +137,12 @@ def reference_backward(model, dY, layers):
 @pytest.mark.parametrize("width", [30, 12])
 def test_lstm_matches_per_step_reference(num_layers, hidden, width):
     rng = np.random.default_rng(100 * num_layers + hidden + width)
+    n_assets = width // 6
     for batch in (1, 7, 32, 194, 554):
-        model = LstmModel(LstmConfig(input_width=width, hidden_size=hidden,
-                                     num_layers=num_layers, n_outputs=5,
-                                     seed=batch))
+        model = LstmModel(LstmConfig(hidden_size=hidden, num_layers=num_layers, seed=batch),
+                          n_assets)
         X = rng.uniform(size=(batch, 6, width))
-        Y = rng.uniform(size=(batch, 5))
+        Y = rng.uniform(size=(batch, n_assets))
         for _ in range(3):  # fresh Adam state, then two updated ones
             y_ref, layers_ref = reference_forward(model, X)
             y, layers = model._forward_scaled(X)

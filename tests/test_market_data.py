@@ -13,6 +13,7 @@ from sentfolio.errors import (
 from sentfolio.market_data import (
     FEATURE_NAMES,
     NEUTRAL_SENTIMENT,
+    PRICE_COLUMNS,
     SENTIMENT_INDEX,
     AlignedPanel,
     PriceSeries,
@@ -143,7 +144,8 @@ class TestAlignPanel:
                 )
         assert mat[1].tolist() == [2.0, 0.0, 0.0, 0.0, 20.0, 1.0,
                                    4.0, 7.0, 0.0, 0.0, 40.0, 1.0]
-        assert [mat[0, i] for i in panel.price_column_indices()] == [1.0, 3.0]
+        assert mat[0, PRICE_COLUMNS].tolist() == [1.0, 3.0]
+        np.testing.assert_array_equal(mat[:, PRICE_COLUMNS], panel.price_matrix())
 
     def test_feature_views_write_through(self, five_asset_panel):
         five_asset_panel.features["A2"]["adj_close"][3:5] = 99.0

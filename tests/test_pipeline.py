@@ -145,6 +145,17 @@ class TestRunPipeline:
         )
         assert res.curves[STRATEGY_BUY_HOLD].values[0] == 500.0
 
+    def test_panel_sizes_the_forecaster(self):
+        # a three-asset panel under the default LstmConfig: the network reads
+        # 18 features and predicts 3 prices
+        three = make_panel(seed=1, n_days=120, assets=("AAA", "BBB", "CCC"))
+        res = run_pipeline(three, lstm_config=LstmConfig(hidden_size=4, num_layers=1, epochs=1),
+                           mc_count=200)
+        assert set(res.curves) == set(ALL_STRATEGIES)
+        periods = len(res.curves[STRATEGY_BUY_HOLD].dates) - 1
+        for name in LSTM_VARIANTS:
+            assert [len(w.values) for w in res.curves[name].weights] == [3] * periods
+
     def test_deterministic(self, panel, result):
         again = run_pipeline(panel, lstm_config=FAST_LSTM, mc_count=500)
         for name in ALL_STRATEGIES:
