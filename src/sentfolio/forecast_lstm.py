@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigurationError, DimensionError, DivergenceError,
-                     InsufficientDataError, SentfolioError)
+                     InsufficientDataError, ParseError, SentfolioError)
 from .market_data import FEATURE_NAMES, PRICE_COLUMNS, AlignedPanel
 
 ADAM_BETA1 = 0.9
@@ -140,6 +140,17 @@ def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
     out /= e
 
 
+def _parameter_shapes(config: LstmConfig, n_assets: int) -> list[tuple[int, ...]]:
+    """The shapes of the weights in ``theta`` order."""
+    H = config.hidden_size
+    shapes: list[tuple[int, ...]] = []
+    in_dim = n_assets * len(FEATURE_NAMES)
+    for _ in range(config.num_layers):
+        shapes += [(in_dim, 4 * H), (H, 4 * H), (4 * H,)]
+        in_dim = H
+    return shapes + [(H, n_assets), (n_assets,)]
+
+
 class LstmModel:
     """Joint multi-asset forecaster; one network maps the stacked feature
     window of ``n_assets`` assets to all their prices at once.
@@ -152,12 +163,7 @@ class LstmModel:
         self.n_assets = n_assets
         self.scaler = MinMaxScaler()
         H = config.hidden_size
-        self._shapes: list[tuple[int, ...]] = []
-        in_dim = n_assets * len(FEATURE_NAMES)
-        for _ in range(config.num_layers):
-            self._shapes += [(in_dim, 4 * H), (H, 4 * H), (4 * H,)]
-            in_dim = H
-        self._shapes += [(H, n_assets), (n_assets,)]
+        self._shapes = _parameter_shapes(config, n_assets)
         self._bounds = np.cumsum([0] + [math.prod(s) for s in self._shapes]).tolist()
         self.theta = np.zeros(self._bounds[-1])
         params = self._split(self.theta)
@@ -437,12 +443,73 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload))
 
 
+def _finite(value, kinds: tuple[type, ...] = (int, float)) -> bool:
+    """Whether ``value`` is of one of ``kinds`` (so not a bool) and finite."""
+    try:
+        return type(value) in kinds and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _numbers(path: str | Path, field: str, value, size: int) -> np.ndarray:
+    """``value`` as a float array; a ParseError unless it is a list of
+    ``size`` finite numbers."""
+    if not isinstance(value, list) or len(value) != size:
+        got = f"{len(value)} entries" if isinstance(value, list) else repr(value)
+        raise ParseError(f"{path}: {field} must be a list of {size} numbers, got {got}")
+    if not all(map(_finite, value)):
+        raise ParseError(f"{path}: {field} holds a non-finite or non-number entry")
+    return np.array(value, dtype=float)
+
+
 def load_checkpoint(path: str | Path) -> LstmModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise DimensionError(f"unsupported checkpoint format {payload.get('format')}")
-    model = LstmModel(LstmConfig(**payload["config"]), payload["n_assets"])
-    model.scaler.min_ = np.asarray(payload["scaler"]["min"], dtype=float)
-    model.scaler.span_ = np.asarray(payload["scaler"]["span"], dtype=float)
-    model.theta[...] = payload["theta"]
+    """The model that ``save_checkpoint`` wrote to ``path``.
+
+    A ParseError names the file and the field of a damaged checkpoint: a
+    format other than CHECKPOINT_FORMAT, a missing field, a missing or
+    unknown ``config`` key or a bad config value, an ``n_assets`` that is
+    not a positive int, a ``scaler.min`` or ``scaler.span`` not of
+    ``n_assets * len(FEATURE_NAMES)`` entries, a ``theta`` not of the length
+    that ``config`` and ``n_assets`` give, or a non-finite number."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a JSON checkpoint ({exc})") from exc
+    if not isinstance(payload, dict) or payload.get("format") != CHECKPOINT_FORMAT:
+        raise ParseError(f"{path}: format must be {CHECKPOINT_FORMAT}")
+    for field in ("config", "n_assets", "scaler", "theta"):
+        if field not in payload:
+            raise ParseError(f"{path}: {field} missing")
+    config, n_assets, scaler = payload["config"], payload["n_assets"], payload["scaler"]
+    defaults = LstmConfig().__dict__
+    if not isinstance(config, dict) or config.keys() != defaults.keys():
+        keys = config if isinstance(config, dict) else {}
+        raise ParseError(f"{path}: config keys missing {[k for k in defaults if k not in keys]},"
+                         f" unknown {[k for k in keys if k not in defaults]}")
+    for key, value in config.items():
+        # the default's type; a float key takes an int too
+        if not _finite(value, (int, float) if type(defaults[key]) is float else (int,)):
+            raise ParseError(f"{path}: config.{key} must be a finite "
+                             f"{type(defaults[key]).__name__}, got {value!r}")
+    try:
+        config = LstmConfig(**config)
+    except ConfigurationError as exc:
+        raise ParseError(f"{path}: config: {exc}") from exc
+    if type(n_assets) is not int or n_assets < 1:
+        raise ParseError(f"{path}: n_assets must be a positive int, got {n_assets!r}")
+    if not isinstance(scaler, dict):
+        raise ParseError(f"{path}: scaler must hold min and span")
+    # theta holds weights of every layer, and its length bounds the model's
+    # size: check both before the layers' shapes are listed
+    theta = payload["theta"]
+    if not isinstance(theta, list) or len(theta) < config.num_layers:
+        raise ParseError(f"{path}: theta must be a list of at least "
+                         f"num_layers = {config.num_layers} numbers")
+    theta = _numbers(path, "theta", theta,
+                     sum(math.prod(s) for s in _parameter_shapes(config, n_assets)))
+    width = n_assets * len(FEATURE_NAMES)
+    model = LstmModel(config, n_assets)
+    model.scaler.min_ = _numbers(path, "scaler.min", scaler.get("min"), width)
+    model.scaler.span_ = _numbers(path, "scaler.span", scaler.get("span"), width)
+    model.theta[...] = theta
     return model

@@ -16,6 +16,19 @@ of columns, row i being line ``line[i]`` of the file:
 - ``reused``: true when those rows took stored labels passed to the loader
   instead of being scored.
 
+The table is written and scored in blocks of ``BLOCK_ROWS`` file rows, so
+that the transient memory of each is one block's, whatever the file's size:
+
+- ``SentimentTable.csv_rows`` is a generator that builds the ISO dates, the
+  asset and label names, the polarity reprs and the counts of one block at
+  a time, for ``csv.writer.writerows`` to consume;
+- the loader scores the unlabeled rows block by block with a memo of
+  ``label_text`` results, cleared at each block, so each distinct text is
+  scored once per block (``label_text`` depends only on the text and the
+  lexicon, so every label and polarity keeps its bits).  A file that
+  repeats its texts scores far fewer than one text per row, and one that
+  never repeats keeps the memo at one block's entries.
+
 ``daily_features`` and ``weekly_windows`` aggregate one asset's rows into
 float arrays with numpy and give results bit-identical to the per-row
 formulas: integer engagement sums converted to float once, the ``math.fsum``
@@ -52,6 +65,8 @@ ENGAGEMENT = ("likes", "retweets", "comments")
 COLUMNS = ("date", "asset", "text", "label", "polarity", *ENGAGEMENT)
 # Largest engagement count: every integer up to it is exact as a float.
 MAX_COUNT = 2**53
+# Rows per block of csv_rows and of the loader's scoring memo.
+BLOCK_ROWS = 8192
 
 # |polarity| below this is treated as no signal.
 NEUTRAL_BAND = 0.05
@@ -156,15 +171,19 @@ class SentimentTable:
 
     def csv_rows(self) -> Iterator[tuple]:
         """The rows as COLUMNS fields: ISO dates, names for the codes, and
-        the ``repr`` of each polarity."""
-        days, day_index = np.unique(self.day, return_inverse=True)
-        iso = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
-        return zip(np.array(iso, dtype=object)[day_index],
-                   np.array(self.assets, dtype=object)[self.asset],
-                   self.text,
-                   np.array(LABELS, dtype=object)[self.label],
-                   map(repr, self.polarity.tolist()),
-                   *self.engagement.T.tolist())
+        the ``repr`` of each polarity, built BLOCK_ROWS rows at a time."""
+        assets = np.array(self.assets, dtype=object)
+        labels = np.array(LABELS, dtype=object)
+        for lo in range(0, len(self), BLOCK_ROWS):
+            block = slice(lo, lo + BLOCK_ROWS)
+            days, day_index = np.unique(self.day[block], return_inverse=True)
+            iso = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
+            yield from zip(np.array(iso, dtype=object)[day_index],
+                           assets[self.asset[block]],
+                           self.text[block],
+                           labels[self.label[block]],
+                           map(repr, self.polarity[block].tolist()),
+                           *self.engagement[block].T.tolist())
 
 
 def tokenize(text: str) -> list[str]:
@@ -365,11 +384,12 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
     text, label, polarity, likes, retweets and comments; an absent count
     column reads as 0.  A row with both label and polarity is taken as
     labeled; every other row needs ``lexicon``, and label_text scores them
-    after the pass, in file order.  ``labels``, a pair of label codes and
-    polarities such as ``(table.label[table.scored],
-    table.polarity[table.scored])`` of an earlier load of the same file and
-    lexicon, replaces that scoring when it holds one entry per unlabeled row;
-    the table's ``reused`` says whether it did.
+    after the pass, in file order, each distinct text once per BLOCK_ROWS
+    rows.  ``labels``, a pair of label codes and polarities such as
+    ``(table.label[table.scored], table.polarity[table.scored])`` of an
+    earlier load of the same file and lexicon, replaces that scoring when it
+    holds one entry per unlabeled row; the table's ``reused`` says whether
+    it did.
     The file is read by ``csvfile.read_csv``, and texts may hold quoted line
     breaks.  A bad field is a ParseError that names the record's first file
     line.
@@ -461,9 +481,14 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
         np.frombuffer(label, dtype=np.int8)[rows] = labels[0]
         np.frombuffer(polarity, dtype=np.float64)[rows] = labels[1]
     else:
-        for i in compress(range(len(scored)), scored):
-            name, polarity[i] = label_text(text[i], lexicon)
-            label[i] = _LABEL_CODES[name]
+        for lo in range(0, len(scored), BLOCK_ROWS):
+            memo: dict[str, tuple[int, float]] = {}
+            for i in compress(range(lo, lo + BLOCK_ROWS), scored[lo:lo + BLOCK_ROWS]):
+                try:
+                    label[i], polarity[i] = memo[text[i]]
+                except KeyError:
+                    name, p = label_text(text[i], lexicon)
+                    label[i], polarity[i] = memo[text[i]] = _LABEL_CODES[name], p
     result = table(reused)
     _validate(path, result, unknown_label)
     return result

@@ -880,6 +880,8 @@ def test_readme_example_shows_every_key_with_its_default():
 
 CHAIN = ("ingest", "label", "analyze")
 UNLABELED = sum(1 for row in SMALL_SENTIMENT if not row[3])
+# one block of sentiment.BLOCK_ROWS rows: each distinct text is scored once
+DISTINCT_UNLABELED = list(dict.fromkeys(row[2] for row in SMALL_SENTIMENT if not row[3]))
 
 
 def _write_small_sentiment(root):
@@ -900,7 +902,7 @@ def test_chain_scores_each_unlabeled_text_once(tmp_path, monkeypatch, capsys):
                         lambda text, lexicon: texts.append(text) or label_text(text, lexicon))
     for command in CHAIN:
         assert run(root, command) == 0, command
-    assert len(texts) == UNLABELED
+    assert texts == DISTINCT_UNLABELED == ["awful open", "flat"]
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if ln.startswith("labels: ")] == [
         f"labels: scored {UNLABELED}"] + [f"labels: reused {UNLABELED} from {LABELS_FILE}"] * 2

@@ -1,10 +1,12 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sentfolio.cli import USER_ERRORS
-from sentfolio.errors import DimensionError, InsufficientDataError, SentfolioError
+from sentfolio.errors import DimensionError, InsufficientDataError, ParseError, SentfolioError
 from sentfolio.forecast_lstm import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -320,6 +322,43 @@ class TestCheckpoint:
         assert again.config == model.config and again.n_assets == 3
         save_checkpoint(again, tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    # damage -> (the field its ParseError names, the edit of the checkpoint)
+    DAMAGES = {
+        "theta one short": ("theta", lambda c: c["theta"].pop()),
+        "theta one long": ("theta", lambda c: c["theta"].append(0.5)),
+        "n_assets against theta": ("theta", lambda c: c.update(n_assets=4)),
+        "n_assets a string": ("n_assets", lambda c: c.update(n_assets="5")),
+        "n_assets zero": ("n_assets", lambda c: c.update(n_assets=0)),
+        "n_assets a bool": ("n_assets", lambda c: c.update(n_assets=True)),
+        "unknown config key": ("config", lambda c: c["config"].update(dropout=0.1)),
+        "missing config key": ("config", lambda c: c["config"].pop("window")),
+        "float hidden_size": ("config.hidden_size",
+                              lambda c: c["config"].update(hidden_size=8.0)),
+        "zero epochs": ("config", lambda c: c["config"].update(epochs=0)),
+        "missing scaler": ("scaler", lambda c: c.pop("scaler")),
+        "scaler.min one short": ("scaler.min", lambda c: c["scaler"]["min"].pop()),
+        "scaler.span one long": ("scaler.span", lambda c: c["scaler"]["span"].append(1.0)),
+        "NaN in theta": ("theta", lambda c: c["theta"].__setitem__(7, math.nan)),
+        "inf in scaler.min": ("scaler.min", lambda c: c["scaler"]["min"].__setitem__(0, math.inf)),
+        "huge int in scaler.span": ("scaler.span",
+                                    lambda c: c["scaler"]["span"].__setitem__(0, 10**400)),
+        "NaN learning rate": ("config.learning_rate",
+                              lambda c: c["config"].update(learning_rate=math.nan)),
+        "format 1": ("format", lambda c: c.update(format=1)),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGES))
+    def test_damage_is_a_parse_error_naming_the_field(self, tmp_path, damage):
+        field, edit = self.DAMAGES[damage]
+        panel = make_panel(seed=2, n_days=40, assets=("AAA", "BBB", "CCC"))
+        path = tmp_path / "model.json"
+        save_checkpoint(fitted_model(panel, small_config(num_layers=2)), path)
+        checkpoint = json.loads(path.read_text())
+        edit(checkpoint)
+        path.write_text(json.dumps(checkpoint))
+        with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: {re.escape(field)}\b"):
+            load_checkpoint(path)
 
 
 class TestGradientAcrossSeeds:

@@ -1,7 +1,9 @@
 import csv
 import datetime as dt
 import math
+import os
 import re
+import tracemalloc
 from dataclasses import dataclass
 from statistics import median
 from unittest import mock
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from sentfolio.errors import ParseError, ValidationError
 from sentfolio.sentiment import (
+    BLOCK_ROWS,
     INTENSIFIERS,
     LABELS,
     NEGATIONS,
@@ -524,3 +527,61 @@ class TestTableOracle:
         ref_name, ref_pol = reference_label_text(text, ORACLE_LEXICON)
         assert name == ref_name
         assert_bits(pol, ref_pol)
+
+
+def _write_peak(n_rows):
+    """tracemalloc's peak while ``csv.writer`` writes the ``csv_rows`` of an
+    ``n_rows`` table, built beforehand, to a sink that keeps nothing."""
+    rng = np.random.default_rng(0)
+    rows = np.arange(n_rows, dtype=np.int64)
+    table = SentimentTable(
+        assets=("AAA", "BBB", "CCC"),
+        day=D0.toordinal() + rows // 50,
+        asset=rows % 3,
+        text=[f"text {i % 97}" for i in range(n_rows)],
+        label=np.zeros(n_rows, dtype=np.int8),
+        polarity=rng.uniform(0.1, 1.0, n_rows),
+        engagement=rng.integers(0, 10**6, (n_rows, 3)),
+        line=rows + 2,
+    )
+    with open(os.devnull, "w", newline="") as sink:
+        writer = csv.writer(sink)
+        tracemalloc.start()
+        try:
+            writer.writerows(table.csv_rows())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+class TestBlocks:
+    """csv_rows and the loader's scoring memo walk the table BLOCK_ROWS rows
+    at a time."""
+
+    def test_writing_rows_takes_one_blocks_memory(self):
+        assert _write_peak(8 * BLOCK_ROWS) < 1.5 * _write_peak(2 * BLOCK_ROWS)
+
+    def test_rows_across_block_edges_match_reference(self, tmp_path):
+        texts = ["good day", "not bad", "awful", "", "very great", 'flat, "quoted"']
+        n = 2 * BLOCK_ROWS + 3
+        # a new day every 7 rows and a cycle of 6 texts both straddle each
+        # block edge; every third row is labeled
+        rows = [[(D0 + dt.timedelta(days=i // 7)).isoformat(), "AB"[i % 2], texts[i % 6],
+                 *(("Positive", "0.25") if i % 3 == 0 else ("", "")), i, 1, ""]
+                for i in range(n)]
+        path = write_rows(tmp_path / "blocks.csv", rows)
+        with mock.patch("sentfolio.sentiment.label_text", wraps=label_text) as scorer:
+            loaded = load_sentiment_csv(path, ORACLE_LEXICON)
+        refs = reference_load(path, ORACLE_LEXICON)
+
+        assert list(loaded.csv_rows()) == [
+            (r.date.isoformat(), r.asset_id, r.text, r.label, repr(r.polarity),
+             r.likes, r.retweets, r.comments) for r in refs]
+        assert_bits(loaded.label, np.array([LABELS.index(r.label) for r in refs], dtype=np.int8))
+        assert_bits(loaded.polarity, np.array([r.polarity for r in refs], dtype=np.float64))
+        # each distinct unlabeled text once per block, in file order
+        expected = []
+        for lo in range(0, n, BLOCK_ROWS):
+            expected += dict.fromkeys(r[2] for r in rows[lo:lo + BLOCK_ROWS] if not r[3])
+        assert len(expected) == 4 + 4 + 2
+        assert [call.args[0] for call in scorer.call_args_list] == expected
