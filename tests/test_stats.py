@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
@@ -186,6 +187,49 @@ class TestGranger:
             f_sm, p_sm, _, _ = sm[lag][0]["ssr_ftest"]
             assert report.lags[lag - 1].result.statistic == pytest.approx(f_sm, rel=1e-8)
             assert report.lags[lag - 1].result.p_value == pytest.approx(p_sm, abs=1e-10)
+
+    @staticmethod
+    def assert_matches_lstsq_oracle(target, driver, max_lag):
+        """Each lag's F and p against the two lag regressions fit here with
+        np.linalg.lstsq and the F tail from scipy."""
+        report = granger(target, driver, max_lag)
+        assert [e.lag for e in report.lags] == list(range(1, max_lag + 1))
+        for entry in report.lags:
+            n = entry.lag
+            y = target[n:]
+            lagged = [np.column_stack([x[n - k:x.size - k] for k in range(1, n + 1)])
+                      for x in (target, driver)]
+            rss = []
+            for X in (np.column_stack([np.ones(y.size), lagged[0]]),
+                      np.column_stack([np.ones(y.size)] + lagged)):
+                coef = np.linalg.lstsq(X, y, rcond=None)[0]
+                rss.append(float(np.sum((y - X @ coef) ** 2)))
+            df2 = y.size - 2 * n - 1
+            f_ref = max(0.0, (rss[0] - rss[1]) / n) / (rss[1] / df2)
+            assert entry.result.df == (n, df2)
+            assert entry.result.statistic == pytest.approx(f_ref, rel=1e-9, abs=1e-9)
+            assert entry.result.p_value == pytest.approx(
+                scipy.stats.f.sf(f_ref, n, df2), rel=1e-8, abs=1e-10)
+
+    def test_matches_lstsq_and_scipy(self):
+        rng = np.random.default_rng(3)
+        n = 250
+        s = rng.standard_normal(n)
+        r = np.zeros(n)
+        for t in range(1, n):
+            r[t] = 0.3 * s[t - 1] + 0.4 * r[t - 1] + rng.standard_normal()
+        self.assert_matches_lstsq_oracle(r, s, max_lag=3)
+        self.assert_matches_lstsq_oracle(s, r, max_lag=8)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(30, 300),
+           coupling=st.floats(-1.0, 1.0), lag_cap=st.integers(1, 8))
+    def test_matches_lstsq_and_scipy_on_drawn_series(self, seed, rows, coupling, lag_cap):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal(rows)
+        r = rng.standard_normal(rows)
+        r[1:] += coupling * s[:-1]
+        self.assert_matches_lstsq_oracle(r, s, max_lag=min(lag_cap, (rows - 2) // 3))
 
 
 class TestPairedT:
