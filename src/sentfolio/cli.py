@@ -15,10 +15,7 @@ import hashlib
 import json
 import math
 import operator
-import os
 import sys
-import zipfile
-import zlib
 from collections import namedtuple
 from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
@@ -72,8 +69,6 @@ USER_ERRORS = (
 )
 
 REPORT_HEADER = ["Models", "Capital", "fAPV", "BV", "SR", "MDD(%)", "AR(%)"]
-# The lexicon's labels of the sentiment file's unlabeled rows; see sentiment_table.
-LABELS_FILE = "labels.npz"
 
 
 def _key(name: str, kind: type, default=None, bound: str | None = None):
@@ -273,89 +268,14 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
 
 
 def sentiment_table(cfg: RunConfig) -> sentiment.SentimentTable:
-    """The sentiment file as a table, its unlabeled rows scored at most once
-    per file and lexicon.
-
-    With a lexicon, the labels of the unlabeled rows are kept in
-    ``out_dir/labels.npz`` under a key of the file's bytes, the lexicon and
-    ``sentiment.SCORER_VERSION``, and a later call reuses them.  A file that
-    is missing or unreadable, holds another key, or holds labels of the
-    wrong dtype, length or range is a miss: the rows are scored and the file
-    rewritten.  Either way one line on stdout says which it was.  A sentiment
-    file whose bytes change while it is read is an error, so that no labels
-    are kept or reused under the key of other content."""
+    """The sentiment file as a table, its unlabeled rows scored by the
+    configured lexicon; one line on stdout says how many rows it scored."""
     if cfg.lexicon_file is None:
         return sentiment.load_sentiment_csv(cfg.sentiment_file)
-    lexicon = sentiment.Lexicon.from_file(cfg.lexicon_file)
-    path = cfg.out_dir / LABELS_FILE
-    digest = _sha256(cfg.sentiment_file)
-    key = _labels_key(digest, lexicon)
-    stored = _read_labels(path, key)
-    table = sentiment.load_sentiment_csv(cfg.sentiment_file, lexicon, labels=stored)
-    if _sha256(cfg.sentiment_file) != digest:
-        raise ValidationError(f"{cfg.sentiment_file}: changed while read; run again")
-    rows = table.scored
-    n = int(rows.sum())
-    if table.reused:
-        print(f"labels: reused {n} from {LABELS_FILE}")
-    else:
-        _write_labels(path, key, table.label[rows], table.polarity[rows])
-        print(f"labels: scored {n}")
+    table = sentiment.load_sentiment_csv(
+        cfg.sentiment_file, sentiment.Lexicon.from_file(cfg.lexicon_file))
+    print(f"labels: scored {int(table.scored.sum())}")
     return table
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _labels_key(digest: str, lexicon: sentiment.Lexicon) -> str:
-    # SCORER_VERSION stands for label_text's fixed rules, negations and
-    # intensifiers included; the valences are the lexicon file's
-    rules = json.dumps([sentiment.SCORER_VERSION, digest, sorted(lexicon.valences.items())])
-    return hashlib.sha256(rules.encode()).hexdigest()
-
-
-def _read_labels(path: Path, key: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The label codes and polarities stored at ``path`` under ``key``, or
-    None when the file is missing, unreadable, under another key or holds
-    anything but int8 codes and float64 polarities of one length that the
-    loader would accept on a labeled row."""
-    try:
-        # np.load given a path leaves it open when the archive is unreadable
-        with open(path, "rb") as fh:
-            stored = np.load(fh, allow_pickle=False)
-            if not isinstance(stored, np.lib.npyio.NpzFile):  # a lone .npy array
-                return None
-            with stored:
-                if str(stored["key"]) != key:
-                    return None
-                codes, polarity = stored["label"], stored["polarity"]
-    # zipfile raises NotImplementedError for an unknown compression method
-    # and RuntimeError for an encrypted member
-    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile,
-            NotImplementedError, RuntimeError, zlib.error):
-        return None
-    if (codes.dtype != np.int8 or polarity.dtype != np.float64 or codes.ndim != 1
-            or codes.shape != polarity.shape
-            or not sentiment.valid_labels(codes, polarity)):
-        return None
-    return codes, polarity
-
-
-def _write_labels(path: Path, key: str, codes: np.ndarray, polarity: np.ndarray) -> None:
-    """Write ``codes`` and ``polarity`` under ``key`` as an uncompressed .npz
-    whose members carry a fixed timestamp, so equal labels give equal bytes.
-    The file is written beside ``path`` and then renamed over it."""
-    partial = path.with_name(path.name + ".partial")
-    with zipfile.ZipFile(partial, "w") as archive:
-        for name, array in (("key", np.array(key)), ("label", codes), ("polarity", polarity)):
-            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w") as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
-    os.replace(partial, path)
 
 
 def _write_csv(path: Path, cfg: RunConfig, header: list[str], rows: Iterable) -> None:

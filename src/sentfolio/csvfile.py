@@ -6,7 +6,8 @@ numbers.  It refuses a header that lacks a required column, a row whose
 width differs from the header's, a record that spans lines in a file whose
 texts may not hold line breaks, and whatever ``csv`` refuses, such as an
 unterminated quote or a field over ``csv.field_size_limit()`` characters,
-and a file that is not UTF-8.
+and a file that is not UTF-8.  A leading UTF-8 byte order mark, as some
+spreadsheet programs write, is dropped.
 Each refusal is one ParseError that names the record's first file line.
 """
 
@@ -31,7 +32,7 @@ def read_csv(path: str | Path, required: tuple[str, ...], *, stamped: bool = Fal
     ``required`` names the columns the header must hold, ``stamped`` says
     line 1 is a stamp, and ``multiline`` lets quoted fields hold line breaks.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         records = _records(path, fh, stamped, multiline)
         line, header = next(records, (1 + stamped, []))
         if not set(required).issubset(header):

@@ -12,9 +12,7 @@ of columns, row i being line ``line[i]`` of the file:
 - ``engagement``: int64 ``[N, 3]``, the likes, retweets and comments counts,
   each in [0, MAX_COUNT];
 - ``scored``: bool, true for a row the file leaves unlabeled, whose label
-  and polarity come from the lexicon (None in a table built from columns);
-- ``reused``: true when those rows took stored labels passed to the loader
-  instead of being scored.
+  and polarity come from the lexicon (None in a table built from columns).
 
 The table is written and scored in blocks of ``BLOCK_ROWS`` file rows, so
 that the transient memory of each is one block's, whatever the file's size:
@@ -72,10 +70,6 @@ BLOCK_ROWS = 8192
 NEUTRAL_BAND = 0.05
 # Squash constant: polarity = s / sqrt(s^2 + NORM) for raw valence sum s.
 NORM = 15.0
-# Version of label_text's rules, NEGATIONS and INTENSIFIERS included: raise it
-# when the label or polarity that label_text gives any text changes, so that
-# stored labels are not reused.
-SCORER_VERSION = 2
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 
@@ -106,7 +100,8 @@ class Lexicon:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Lexicon":
-        """Load ``token<TAB>valence`` lines; blank lines and # comments skipped.
+        """Load ``token<TAB>valence`` lines; blank lines, # comments and a
+        leading UTF-8 byte order mark skipped.
 
         A ParseError names the line of a token that ``tokenize`` never yields
         (so its valence would never count), a repeated token, or a valence
@@ -114,7 +109,7 @@ class Lexicon:
         valences: dict[str, float] = {}
         first_line: dict[str, int] = {}
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = list(fh)
         except UnicodeDecodeError as exc:
             raise undecodable(path) from exc
@@ -158,7 +153,6 @@ class SentimentTable:
     engagement: np.ndarray
     line: np.ndarray
     scored: np.ndarray | None = None
-    reused: bool = False
 
     def __len__(self) -> int:
         return len(self.text)
@@ -342,13 +336,6 @@ def _coherent(label: np.ndarray, polarity: np.ndarray) -> np.ndarray:
     return np.where(label == 0, polarity > 0, np.where(label == 1, polarity < 0, polarity == 0))
 
 
-def valid_labels(label: np.ndarray, polarity: np.ndarray) -> bool:
-    """Whether every ``label`` is a code into LABELS and every ``polarity``
-    lies in [-1, 1] with its label's sign, as on a row the loader accepts."""
-    return bool(np.all((label >= 0) & (label < len(LABELS)) & (np.abs(polarity) <= 1.0)
-                       & _coherent(label, polarity)))
-
-
 def _validate(path: Path, table: SentimentTable, unknown_label: str | None) -> None:
     """Raise a ParseError naming the first row with an unknown label, a
     label that disagrees with the sign of its polarity, a polarity outside
@@ -376,8 +363,7 @@ def _validate(path: Path, table: SentimentTable, unknown_label: str | None) -> N
     raise ParseError(f"{path}:{table.line[i]}: {message}")
 
 
-def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
-                       labels: tuple[np.ndarray, np.ndarray] | None = None) -> SentimentTable:
+def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> SentimentTable:
     """Read sentiment rows into one SentimentTable in a single pass.
 
     Columns (by header name, in any order): date, asset, and optionally
@@ -385,14 +371,9 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
     column reads as 0.  A row with both label and polarity is taken as
     labeled; every other row needs ``lexicon``, and label_text scores them
     after the pass, in file order, each distinct text once per BLOCK_ROWS
-    rows.  ``labels``, a pair of label codes and polarities such as
-    ``(table.label[table.scored], table.polarity[table.scored])`` of an
-    earlier load of the same file and lexicon, replaces that scoring when it
-    holds one entry per unlabeled row; the table's ``reused`` says whether
-    it did.
-    The file is read by ``csvfile.read_csv``, and texts may hold quoted line
-    breaks.  A bad field is a ParseError that names the record's first file
-    line.
+    rows.  The file is read by ``csvfile.read_csv``, and texts may hold
+    quoted line breaks.  A bad field is a ParseError that names the record's
+    first file line.
     """
     path = Path(path)
     # per row: day, asset, likes, retweets, comments, line
@@ -404,7 +385,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
     assets: dict[str, int] = {}  # stripped asset name -> code
     unknown_label = None  # the first label outside LABELS
 
-    def table(reused: bool = False) -> SentimentTable:
+    def table() -> SentimentTable:
         n = len(polarity)  # appended last: rows read in full
         columns = np.frombuffer(ints, dtype=np.int64)[:6 * n].reshape(n, 6)
         return SentimentTable(
@@ -417,7 +398,6 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
             engagement=columns[:, 2:5],
             line=columns[:, 5],
             scored=np.frombuffer(scored, dtype=np.bool_),
-            reused=reused,
         )
 
     with read_csv(path, ("date", "asset"), multiline=True) as (header, records):
@@ -475,20 +455,14 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None,
             message = (f"engagement count above {MAX_COUNT}"  # a count beyond int64
                        if isinstance(exc, OverflowError) else exc)
             raise ParseError(f"{path}:{line}: {message}") from exc
-    rows = np.frombuffer(scored, dtype=np.bool_)
-    reused = labels is not None and len(labels[0]) == scored.count(True)
-    if reused:
-        np.frombuffer(label, dtype=np.int8)[rows] = labels[0]
-        np.frombuffer(polarity, dtype=np.float64)[rows] = labels[1]
-    else:
-        for lo in range(0, len(scored), BLOCK_ROWS):
-            memo: dict[str, tuple[int, float]] = {}
-            for i in compress(range(lo, lo + BLOCK_ROWS), scored[lo:lo + BLOCK_ROWS]):
-                try:
-                    label[i], polarity[i] = memo[text[i]]
-                except KeyError:
-                    name, p = label_text(text[i], lexicon)
-                    label[i], polarity[i] = memo[text[i]] = _LABEL_CODES[name], p
-    result = table(reused)
+    for lo in range(0, len(scored), BLOCK_ROWS):
+        memo: dict[str, tuple[int, float]] = {}
+        for i in compress(range(lo, lo + BLOCK_ROWS), scored[lo:lo + BLOCK_ROWS]):
+            try:
+                label[i], polarity[i] = memo[text[i]]
+            except KeyError:
+                name, p = label_text(text[i], lexicon)
+                label[i], polarity[i] = memo[text[i]] = _LABEL_CODES[name], p
+    result = table()
     _validate(path, result, unknown_label)
     return result

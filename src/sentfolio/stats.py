@@ -151,16 +151,20 @@ def pearson(x, y) -> TestResult:
 
 
 def ols(y, X) -> tuple[np.ndarray, float]:
-    """Least squares via QR-backed lstsq; returns (coefficients, rss)."""
+    """Least squares via SVD-based lstsq (LAPACK gelsd); returns
+    (coefficients, rss).  The rank is lstsq's, which counts the singular
+    values above ``S.max() * max(M, N) * eps``, as ``matrix_rank`` does."""
     y = np.asarray(y, dtype=float)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.size:
         raise DegenerateInputError("shape mismatch between y and X")
     if X.shape[0] <= X.shape[1]:
         raise InsufficientDataError("need more rows than regressors")
-    if np.linalg.matrix_rank(X) < X.shape[1]:
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DegenerateInputError("non-finite value in y or X")
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < X.shape[1]:
         raise SingularDesignError("regressor matrix is rank deficient")
-    coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
     resid = y - X @ coef
     return coef, float(resid @ resid)
 

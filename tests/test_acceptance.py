@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from conftest import skip_unless_golden_build
 from sentfolio.backtest import (
     DEFAULT_INITIAL_CAPITAL,
     WealthCurve,
@@ -255,11 +256,7 @@ def test_criterion_9_determinism(cli_workspace):
 
 # -- golden digests ----------------------------------------------------------
 # SHA-256 pins of the criterion-9 artifacts and of one run_pipeline result,
-# taken with the numpy and BLAS below; other builds may round differently.
-# A change that alters these outputs by design updates the pins and says so
-# in CHANGES.md.
-GOLDEN_NUMPY = "2.4.6"
-GOLDEN_BLAS = "scipy-openblas 0.3.31.188.0"
+# taken with conftest's GOLDEN_NUMPY and GOLDEN_BLAS.
 GOLDEN_ARTIFACTS = {
     "panel.csv": "0f478b085d67f8a97a1fd12de2c72231af86b957a8f5666bdb5cf9e95ec3e110",
     "wealth_curves.csv": "6080ad97b8b5c61b4e17ec141ef544fa9e885ae08fc811bdabc163df3d8d45ea",
@@ -270,11 +267,6 @@ GOLDEN_ARTIFACTS = {
     "granger.csv": "e1bfabd6c2957e46cbd1f3839a2f5db67d5d6046b93d643402bae3efe7eaaa66",
 }
 GOLDEN_PIPELINE = "2befb20721b106efbaa57358bd4c9d08685ef4500469f38b554e8cbfe0afd1ec"
-
-
-def _blas() -> str:
-    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
 def _pipeline_digest(result) -> str:
@@ -295,9 +287,7 @@ def test_golden_digests(cli_workspace):
     """The criterion-9 artifacts and a small run_pipeline result hash to the
     pinned SHA-256 digests, so a refactor that claims identical outputs is
     checked against the outputs from before it, not only against itself."""
-    if (np.__version__, _blas()) != (GOLDEN_NUMPY, GOLDEN_BLAS):
-        pytest.skip(f"digests pinned with numpy {GOLDEN_NUMPY} and {GOLDEN_BLAS}; "
-                    f"this is numpy {np.__version__} with {_blas()}")
+    skip_unless_golden_build()
     out = cli_workspace / "out"
     got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
            for name in GOLDEN_ARTIFACTS}

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import tempfile
-import time
 import warnings
 from pathlib import Path
 
@@ -15,9 +14,10 @@ import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from conftest import skip_unless_golden_build
 from sentfolio import sentiment
 from sentfolio.cli import (
-    KEYS, LABELS_FILE, REPORT_HEADER, _weekly_stats_and_returns, load_config, main, read_panel,
+    KEYS, REPORT_HEADER, _weekly_stats_and_returns, load_config, main, read_panel,
 )
 from sentfolio.market_data import AlignedPanel
 from sentfolio.synthetic import make_panel, write_market_csv
@@ -876,7 +876,7 @@ def test_readme_example_shows_every_key_with_its_default():
             == {k: spec.default for k, spec in KEYS.items() if k not in exempt})
 
 
-# -- the label cache shared by ingest, label and analyze ---------------------
+# -- lexicon scoring in ingest, label and analyze --------------------------
 
 CHAIN = ("ingest", "label", "analyze")
 UNLABELED = sum(1 for row in SMALL_SENTIMENT if not row[3])
@@ -894,7 +894,26 @@ def _outputs(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
 
+# SHA-256 of a lexicon-scored chain's outputs, taken with conftest's
+# GOLDEN_NUMPY and GOLDEN_BLAS
+LEXICON_CHAIN_DIGESTS = {
+    "labeled.csv": "61d55139ca330ef730c92fec33c7749f19c63923cc74abdedd30889e4f98a3d0",
+    "panel.csv": "82f3dc79fe0152710a455bf26aef18f3455ee34c08e1d5f1b8cfb5f22470cda6",
+    "correlation.csv": "6252937ddd2b28dc072d7f9824b4f11c037d8ac456b0d4c56f6bd0b706b28df4",
+}
+
+
+def test_lexicon_chain_digests(tmp_path):
+    skip_unless_golden_build()
+    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
+    for command in CHAIN:
+        assert run(root, command) == 0, command
+    assert {name: hashlib.sha256(artifact(root, name).read_bytes()).hexdigest()
+            for name in LEXICON_CHAIN_DIGESTS} == LEXICON_CHAIN_DIGESTS
+
+
 def test_chain_scores_each_unlabeled_text_once(tmp_path, monkeypatch, capsys):
+    # each command scores each distinct unlabeled text once per block
     root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
     texts = []
     label_text = sentiment.label_text
@@ -902,10 +921,11 @@ def test_chain_scores_each_unlabeled_text_once(tmp_path, monkeypatch, capsys):
                         lambda text, lexicon: texts.append(text) or label_text(text, lexicon))
     for command in CHAIN:
         assert run(root, command) == 0, command
-    assert texts == DISTINCT_UNLABELED == ["awful open", "flat"]
+    assert DISTINCT_UNLABELED == ["awful open", "flat"]
+    assert texts == DISTINCT_UNLABELED * len(CHAIN)
     lines = capsys.readouterr().out.splitlines()
     assert [ln for ln in lines if ln.startswith("labels: ")] == [
-        f"labels: scored {UNLABELED}"] + [f"labels: reused {UNLABELED} from {LABELS_FILE}"] * 2
+        f"labels: scored {UNLABELED}"] * len(CHAIN)
 
 
 EDITS = {
@@ -925,107 +945,22 @@ def test_edit_rescores_as_in_a_fresh_directory(tmp_path, capsys, edit):
     for command in CHAIN:
         assert run(root, command) == 0, command
     lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("labels: ")]
-    assert lines == [f"labels: scored {UNLABELED}"] + [
-        f"labels: reused {UNLABELED} from {LABELS_FILE}"] * 2
+    assert lines == [f"labels: scored {UNLABELED}"] * len(CHAIN)
     fresh = tmp_path / "fresh"
     for command in CHAIN:
         assert main([command, "--config", str(root / "config.yaml"), "--out", str(fresh)]) == 0
     assert _outputs(root / "out") == _outputs(fresh)
 
 
-def _resaved(**change):
-    """Rewrite the .npz at ``path`` with ``change[name](array)`` in place of
-    each named member, or without the member when ``change[name]`` is None."""
-    def corrupt(path):
-        with np.load(path) as stored:
-            arrays = {name: stored[name] for name in stored.files}
-        for name, edit in change.items():
-            if edit is None:
-                del arrays[name]
-            else:
-                arrays[name] = edit(arrays[name])
-        np.savez(path, **arrays)
-    return corrupt
-
-
-def _first(value):
-    def change(array):
-        array = array.copy()
-        array[0] = value
-        return array
-    return change
-
-
-def _lone_npy(path):
-    with open(path, "wb") as fh:
-        np.save(fh, np.zeros(UNLABELED, dtype=np.int8))
-
-
-BAD_LABEL_FILES = {
-    "truncated": lambda path: path.write_bytes(path.read_bytes()[:300]),
-    "garbage": lambda path: path.write_bytes(b"not an npz file\n" * 20),
-    "empty": lambda path: path.write_bytes(b""),
-    "object arrays": _resaved(label=lambda a: a.astype(object)),
-    "one entry short": _resaved(label=lambda a: a[:-1], polarity=lambda a: a[:-1]),
-    "another key": _resaved(key=lambda k: np.array("0" * 64)),
-    "int64 codes": _resaved(label=lambda a: a.astype(np.int64)),
-    "code 3": _resaved(label=_first(3)),
-    "polarity 2": _resaved(polarity=_first(2.0)),
-    "polarities of the wrong sign": _resaved(polarity=lambda a: -a),
-    "no polarity member": _resaved(polarity=None),
-    "a lone .npy array": _lone_npy,
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_LABEL_FILES))
-def test_bad_labels_file_is_scored_again(tmp_path, capsys, case):
+def test_byte_order_marks_change_no_output(tmp_path):
     root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
     for command in ("ingest", "label"):
         assert run(root, command) == 0, command
-    before = _outputs(root / "out")
-    BAD_LABEL_FILES[case](artifact(root, LABELS_FILE))
-    capsys.readouterr()
-    assert run(root, "label") == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert f"labels: scored {UNLABELED}" in captured.out.splitlines()
-    assert _outputs(root / "out") == before
-
-
-def test_labels_file_is_byte_identical_across_fresh_runs(tmp_path, monkeypatch):
-    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
-    assert run(root, "ingest") == 0
-    a_day_later = time.time() + 86_400
-    monkeypatch.setattr(time, "time", lambda: a_day_later)
-    again = tmp_path / "again"
-    assert main(["ingest", "--config", str(root / "config.yaml"), "--out", str(again)]) == 0
-    assert (again / LABELS_FILE).read_bytes() == artifact(root, LABELS_FILE).read_bytes()
-
-
-def test_sentiment_file_changed_while_read_keeps_no_labels(tmp_path, monkeypatch, capsys):
-    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
-    assert run(root, "ingest") == 0
-    stored = artifact(root, LABELS_FILE).read_bytes()
-    load = sentiment.load_sentiment_csv
-
-    def load_after_an_edit(path, *args, **kwargs):
-        # the same number of unlabeled rows, one of them with another text
-        _set_field(path, 4, 2, "great open")
-        return load(path, *args, **kwargs)
-
-    monkeypatch.setattr(sentiment, "load_sentiment_csv", load_after_an_edit)
-    capsys.readouterr()
-    assert run(root, "label") == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "sentiment.csv: changed while read" in err[0]
-    assert artifact(root, LABELS_FILE).read_bytes() == stored
-    assert not artifact(root, "labeled.csv").exists()
-
-
-def test_chain_runs_without_hashlib_file_digest(tmp_path, monkeypatch, capsys):
-    # hashlib.file_digest is new in Python 3.11; the package supports 3.10
-    monkeypatch.delattr(hashlib, "file_digest", raising=False)
-    root = _write_small_sentiment(populate(tmp_path, THREE_ASSETS))
-    for command in CHAIN:
-        assert run(root, command) == 0, command
-    assert f"labels: reused {UNLABELED} from {LABELS_FILE}" in capsys.readouterr().out
+    for path in (root / "data" / "AAA.csv", root / "data" / "sentiment.csv",
+                 root / "lexicon.tsv"):
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    marked = tmp_path / "marked"
+    for command in ("ingest", "label"):
+        assert main([command, "--config", str(root / "config.yaml"), "--out", str(marked)]) == 0
+    for name in ("panel.csv", "labeled.csv"):
+        assert (marked / name).read_bytes() == artifact(root, name).read_bytes(), name

@@ -466,6 +466,7 @@ class TestTableOracle:
         refs = reference_load(path, ORACLE_LEXICON)
 
         assert len(loaded) == len(refs)
+        assert loaded.scored.tolist() == [pol == "" for _, _, _, (_, pol), *_ in generated]
         assert_bits(loaded.day, np.array([r.date.toordinal() for r in refs], dtype=np.int64))
         assert [loaded.assets[c] for c in loaded.asset] == [r.asset_id for r in refs]
         assert loaded.text == [r.text for r in refs]
@@ -487,28 +488,6 @@ class TestTableOracle:
                         float_rows(reference_daily_features(own, dates)))
             assert_windows_bits(weekly_windows(loaded, asset, first, last),
                                 reference_weekly_windows(own, first, last))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(rows, max_size=40))
-    def test_stored_labels_replace_scoring(self, tmp_path_factory, generated):
-        path = tmp_path_factory.getbasetemp() / "stored.csv"
-        write_rows(path, [["2020-03-02", asset, text, label, pol, likes, retweets, comments]
-                          for _, asset, text, (label, pol), likes, retweets, comments
-                          in generated])
-        scored = load_sentiment_csv(path, ORACLE_LEXICON)
-        assert scored.scored.tolist() == [pol == "" for _, _, _, (_, pol), *_ in generated]
-        stored = (scored.label[scored.scored], scored.polarity[scored.scored])
-        with mock.patch("sentfolio.sentiment.label_text", side_effect=AssertionError):
-            reused = load_sentiment_csv(path, ORACLE_LEXICON, labels=stored)
-        # labels of another length are not used: the rows are scored
-        n = len(stored[0]) + 1
-        rescored = load_sentiment_csv(path, ORACLE_LEXICON,
-                                      labels=(np.zeros(n, dtype=np.int8), np.zeros(n)))
-        assert reused.reused and not rescored.reused and not scored.reused
-        for table in (reused, rescored):
-            for column in ("day", "asset", "label", "polarity", "engagement", "line", "scored"):
-                assert_bits(getattr(table, column), getattr(scored, column))
-            assert table.text == scored.text
 
     @given(st.lists(st.sampled_from(TOKENS + ["extremely", "barely", "no"]), max_size=12))
     def test_label_text_matches_reference(self, tokens):

@@ -144,6 +144,33 @@ class TestOls:
         with pytest.raises(SingularDesignError):
             ols(np.arange(5.0), X)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(8, 60), cols=st.integers(2, 6),
+           mix=st.none() | st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    def test_rank_check_agrees_with_matrix_rank(self, seed, rows, cols, mix):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, cols))
+        if mix is not None:  # the last column a combination of the others
+            X[:, -1] = X[:, :-1] @ np.array(mix[:cols - 1], dtype=float)
+        y = rng.standard_normal(rows)
+        if np.linalg.matrix_rank(X) < cols:
+            with pytest.raises(SingularDesignError):
+                ols(y, X)
+        else:
+            coef, _ = ols(y, X)
+            assert coef.tobytes() == np.linalg.lstsq(X, y, rcond=None)[0].tobytes()
+
+    @pytest.mark.parametrize("bad", ["X", "y"])
+    def test_non_finite_rejected(self, bad):
+        X = np.column_stack([np.ones(6), np.arange(6.0)])
+        y = np.arange(6.0)
+        if bad == "X":
+            X[2, 1] = np.inf
+        else:
+            y[3] = np.nan
+        with pytest.raises(DegenerateInputError):
+            ols(y, X)
+
 
 class TestGranger:
     def test_constructed_causal_pair(self):

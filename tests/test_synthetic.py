@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import skip_unless_golden_build
 from sentfolio.errors import ConfigurationError, ValidationError
 from sentfolio.market_data import SENTIMENT_INDEX, align_panel
 from sentfolio.synthetic import (
@@ -71,9 +72,8 @@ class TestBoundedDraw:
 
 
 # SHA-256 over values.tobytes(), the ISO dates and the assets of each panel,
-# taken from the per-asset-day draws that the array path replaced.
-PIN_NUMPY = "2.4.6"
-PIN_BLAS = "scipy-openblas 0.3.31.188.0"
+# taken from the per-asset-day draws that the array path replaced, with
+# conftest's GOLDEN_NUMPY and GOLDEN_BLAS.
 PIN_SEEDS = range(12)
 PINNED_PANELS = {
     40: "aa2a34c540a91212d6bbac7c353a0571a6691a56186b29f98da17562ed02fc50",
@@ -83,11 +83,6 @@ PINNED_PANELS = {
 }
 PINNED_THREE_ASSETS = "4390ffa4b438e8e14dcdc013297afb6d7ee71dcbb843ca542d956588728e270a"
 THREE = ("AAA", "BBB", "CCC")
-
-
-def _blas() -> str:
-    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
-    return f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
 
 
 def panels_digest(panels) -> str:
@@ -101,9 +96,7 @@ def panels_digest(panels) -> str:
 
 class TestPanel:
     def test_pinned_panels(self):
-        if (np.__version__, _blas()) != (PIN_NUMPY, PIN_BLAS):
-            pytest.skip(f"panels pinned with numpy {PIN_NUMPY} and {PIN_BLAS}; "
-                        f"this is numpy {np.__version__} with {_blas()}")
+        skip_unless_golden_build()
         got = {n: panels_digest(make_panel(seed=s, n_days=n) for s in PIN_SEEDS)
                for n in PINNED_PANELS}
         assert got == PINNED_PANELS
