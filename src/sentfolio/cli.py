@@ -238,6 +238,7 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
                                      f"{cfg.assets}; run ingest again")
         dates = []
         rows = []
+        lines = []
         for line, row in records:
             try:
                 dates.append(dt.date.fromisoformat(row[0]))
@@ -246,8 +247,27 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
                 raise ParseError(f"{path}:{line}: malformed row ({exc})") from exc
             if not all(map(math.isfinite, rows[-1])):
                 raise ParseError(f"{path}:{line}: non-finite value")
+            lines.append(line)
     values = np.asarray(rows, dtype=float).reshape(len(dates), len(assets), len(FEATURE_NAMES))
-    return AlignedPanel(dates=dates, assets=assets, values=values)
+    panel = AlignedPanel(dates=dates, assets=assets, values=values)
+    _check_returns(panel, lambda t: f"{path}:{lines[t]}: ")
+    return panel
+
+
+def _check_returns(panel: AlignedPanel, where=lambda t: "") -> None:
+    """Refuse a panel in which an asset's close over its close on the date
+    before overflows a float, naming the asset and both dates after
+    ``where(t)`` for the later row t: every command that takes returns
+    would read inf there."""
+    prices = panel.price_matrix()
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(prices[1:] / prices[:-1])
+    if overflows.any():
+        t, a = np.argwhere(overflows)[0].tolist()
+        before, after = prices[t:t + 2, a].tolist()
+        raise ValidationError(
+            f"{where(t + 1)}{panel.assets[a]}: the return from {panel.dates[t]} to "
+            f"{panel.dates[t + 1]} overflows a float (close {before!r}, then {after!r})")
 
 
 def build_panel(cfg: RunConfig) -> AlignedPanel:
@@ -260,6 +280,7 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
     # a bad sentiment file is reported before an alignment error
     table = None if cfg.sentiment_file is None else sentiment_table(cfg)
     panel = align_panel(series)
+    _check_returns(panel)
     if table is not None:
         for a, asset in enumerate(panel.assets):
             panel.values[:, a, SENTIMENT_INDEX] = sentiment.daily_features(

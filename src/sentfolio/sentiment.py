@@ -6,7 +6,8 @@ of columns, row i being line ``line[i]`` of the file:
 - ``day``: int64 day ordinals (``datetime.date.toordinal``);
 - ``asset``: int64 codes into the tuple ``assets`` of stripped asset names,
   numbered in order of first appearance;
-- ``text``: a list of str;
+- ``text``: a list of str; the rows of one block (below) that repeat a text
+  share one ``str`` object;
 - ``label``: int8 codes into ``LABELS`` (0 Positive, 1 Negative, 2 Neutral);
 - ``polarity``: float64, in [-1, 1] with the sign its label implies;
 - ``engagement``: int64 ``[N, 3]``, the likes, retweets and comments counts,
@@ -14,9 +15,13 @@ of columns, row i being line ``line[i]`` of the file:
 - ``scored``: bool, true for a row the file leaves unlabeled, whose label
   and polarity come from the lexicon (None in a table built from columns).
 
-The table is written and scored in blocks of ``BLOCK_ROWS`` file rows, so
-that the transient memory of each is one block's, whatever the file's size:
+The table is read, written and scored in blocks of ``BLOCK_ROWS`` file rows,
+so that the transient memory of each is one block's, whatever the file's size:
 
+- the loader keeps one dict of each block's texts while it reads the block
+  and stores the dict's ``str`` in place of the reader's, so a file that
+  repeats its texts (retweets, templated alerts) holds each once per block,
+  and one that never repeats them holds the same strings as before;
 - ``SentimentTable.csv_rows`` is a generator that builds the ISO dates, the
   asset and label names, the polarity reprs and the counts of one block at
   a time, for ``csv.writer.writerows`` to consume;
@@ -63,7 +68,7 @@ ENGAGEMENT = ("likes", "retweets", "comments")
 COLUMNS = ("date", "asset", "text", "label", "polarity", *ENGAGEMENT)
 # Largest engagement count: every integer up to it is exact as a float.
 MAX_COUNT = 2**53
-# Rows per block of csv_rows and of the loader's scoring memo.
+# Rows per block of csv_rows and of the loader's shared texts and scoring memo.
 BLOCK_ROWS = 8192
 
 # |polarity| below this is treated as no signal.
@@ -418,6 +423,8 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
                 except KeyError:
                     d = dt.date.fromisoformat(row[i_date].strip()).toordinal()
                     ordinal[row[i_date]] = d
+                if not len(text) % BLOCK_ROWS:
+                    shared: dict[str, str] = {}  # this block's texts, each held once
                 t = "" if i_text is None else row[i_text]
                 if (i_label is not None and row[i_label]
                         and i_pol is not None and row[i_pol]):
@@ -441,7 +448,7 @@ def load_sentiment_csv(path: str | Path, lexicon: Lexicon | None = None) -> Sent
                 except ValueError:
                     likes, retweets, comments = _count(likes), _count(retweets), _count(comments)
                 ints.extend((d, a, likes, retweets, comments, line))
-                text.append(t)
+                text.append(shared.setdefault(t, t))
                 scored.append(c is None)
                 if c is None:
                     c, p = neutral, 0.0  # valid until the label is set

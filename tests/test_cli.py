@@ -331,6 +331,16 @@ def _out_files(**texts):
     return corrupt
 
 
+def _overflowing_return(path_of):
+    """Closes of 1e-10 and then 1e300 for AAA on lines 4 and 5 of the file
+    ``path_of(root)``: their ratio overflows a float."""
+    def corrupt(root):
+        path = path_of(root)
+        _set_field(path, 4, 1, "1e-10")
+        _set_field(path, 5, 1, "1e300")
+    return corrupt
+
+
 def _flat_prices(root):
     """Every price file at a constant price, then ingest."""
     for asset in ("AAA", "BBB", "CCC"):
@@ -479,6 +489,12 @@ BAD_INPUTS = {
     "unknown true label in audit file": (
         "audit", lambda root: (root / "audit.csv").write_text(AUDIT.replace("Negative", "Negatve")),
         "audit.csv:3: unknown true label 'Negatve'"),
+    "return that overflows a float": (
+        "ingest", _overflowing_return(lambda root: root / "data" / "AAA.csv"),
+        "AAA: the return from 2015-01-04 to 2015-01-05 overflows a float (close 1e-10, then 1e+300)"),
+    "panel return that overflows a float": (
+        "analyze", _overflowing_return(_ingested),
+        "panel.csv:5: AAA: the return from 2015-01-03 to 2015-01-04 overflows a float"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
     "misspelled replicate_seeds": (

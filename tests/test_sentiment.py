@@ -564,3 +564,7 @@ class TestBlocks:
             expected += dict.fromkeys(r[2] for r in rows[lo:lo + BLOCK_ROWS] if not r[3])
         assert len(expected) == 4 + 4 + 2
         assert [call.args[0] for call in scorer.call_args_list] == expected
+        # the rows of a block that repeat a text share one str
+        for lo in range(0, n, BLOCK_ROWS):
+            block = loaded.text[lo:lo + BLOCK_ROWS]
+            assert len({id(t) for t in block}) == len(set(block))
