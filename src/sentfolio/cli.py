@@ -545,7 +545,10 @@ def cmd_frontier(cfg: RunConfig) -> int:
     panel = read_panel(cfg)
     train_panel, _, _ = split_chronological(panel, cfg.split)
     prices = train_panel.price_matrix()
-    moments = estimate_moments(prices[1:] / prices[:-1] - 1.0)
+    try:
+        moments = estimate_moments(prices[1:] / prices[:-1] - 1.0)
+    except ValidationError as exc:
+        raise ValidationError(f"{_panel_path(cfg)}: train split: {exc}") from exc
     _, vol, rows = frontier_samples(moments, cfg.mc_count, cfg.mc_seed)
     ((exp_ret, sharpe),) = rows
     try:

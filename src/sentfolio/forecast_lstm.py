@@ -6,9 +6,12 @@ each fused weight matrix is [input, forget, cell, output].
 
 All weights live in one float64 vector ``LstmModel.theta``, in the order
 W[0], U[0], b[0], ..., W[L-1], U[L-1], b[L-1], W_out, b_out (row-major); the
-named weights, the gradient and the Adam moments share that layout.  The
-forward pass keeps per layer the activated gates (T, B, 4H) and the cell and
-hidden states c, h (T+1, B, H), whose index 0 is the zero initial state.
+named weights, the gradient and the Adam moments share that layout.  Only
+training keeps per-step arrays: for backprop its forward pass keeps per
+layer the activated gates (T, B, 4H) and the cell and hidden states c, h
+(T+1, B, H), whose index 0 is the zero initial state.  ``loss`` and
+``forward`` run the same step with one (B, 4H) gate buffer and one cell
+state per layer, and keep only the hidden states that the next layer reads.
 
 The step kernels write into those arrays in place, but every GEMM, sum and
 product runs on the same operands and in the same order as the plain
@@ -109,7 +112,9 @@ class MinMaxScaler:
     def transform(self, X: np.ndarray) -> np.ndarray:
         if not self.fitted:
             raise DimensionError("scaler not fitted")
-        return (np.asarray(X, dtype=float) - self.min_) / self.span_
+        out = np.asarray(X, dtype=float) - self.min_
+        out /= self.span_
+        return out
 
     def inverse(self, X: np.ndarray) -> np.ndarray:
         if not self.fitted:
@@ -199,9 +204,12 @@ class LstmModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def _forward_scaled(self, X: np.ndarray):
-        """X: (B, T, F) scaled. Returns (B, n_assets) scaled predictions and
-        the per-layer (inputs, gates, c, h) arrays that backward reads."""
+    def _forward_scaled(self, X: np.ndarray, history: bool = True):
+        """X: (B, T, F) scaled. Returns (B, n_assets) scaled predictions and,
+        with ``history``, the per-layer (inputs, gates, c, h) arrays that
+        backward reads.  Without it every step writes its gates into one
+        (B, 4H) buffer and its cell state over the last, and the list is
+        empty."""
         width = self.W[0].shape[0]
         if X.ndim != 3 or X.shape[2] != width:
             raise DimensionError(f"expected (B, T, {width}), got {X.shape}")
@@ -210,24 +218,28 @@ class LstmModel:
         layers = []
         xs = X.transpose(1, 0, 2)
         hU = np.empty((B, 4 * H))
+        kept = T if history else 1  # the steps whose gates and cell are kept
         for W, U, b in zip(self.W, self.U, self.b):
-            gates = np.empty((T, B, 4 * H))
-            c = np.zeros((T + 1, B, H))
+            gates = np.empty((kept, B, 4 * H))
+            c = np.zeros((kept + 1, B, H))
             h = np.zeros((T + 1, B, H))
             for t in range(T):
-                a = gates[t]  # z = x W + h U + b, summed in that order
+                k = t if history else 0
+                a = gates[k]  # z = x W + h U + b, summed in that order
                 np.matmul(xs[t], W, out=a)
                 a += np.matmul(h[t], U, out=hU)
                 a += b
                 g = np.tanh(a[:, 2 * H : 3 * H])
                 _sigmoid(a, out=a)
                 a[:, 2 * H : 3 * H] = g
-                np.multiply(a[:, H : 2 * H], c[t], out=c[t + 1])
+                c_next = c[k + 1] if history else c[0]
+                np.multiply(a[:, H : 2 * H], c[k], out=c_next)
                 g *= a[:, :H]
-                c[t + 1] += g
-                np.tanh(c[t + 1], out=h[t + 1])
+                c_next += g
+                np.tanh(c_next, out=h[t + 1])
                 h[t + 1] *= a[:, 3 * H :]
-            layers.append((xs, gates, c, h))
+            if history:
+                layers.append((xs, gates, c, h))
             xs = h[1:]
         return xs[-1] @ self.W_out + self.b_out, layers
 
@@ -289,14 +301,15 @@ class LstmModel:
         return float(np.mean(err * err)), self._backward(2.0 * err / err.size, layers)
 
     def loss(self, X_scaled: np.ndarray, Y_scaled: np.ndarray) -> float:
-        y, _ = self._forward_scaled(X_scaled)
+        y, _ = self._forward_scaled(X_scaled, history=False)
         return float(np.mean((y - Y_scaled) ** 2))
 
     # -- public API ---------------------------------------------------------
 
     def scale_inputs(self, X: np.ndarray) -> np.ndarray:
-        B, T, F = X.shape
-        return self.scaler.transform(X.reshape(B * T, F)).reshape(B, T, F)
+        """Raw (B, T, F) windows, ``make_windows``' view too, scaled into one
+        new array."""
+        return self.scaler.transform(X)
 
     def forward(self, window: np.ndarray) -> np.ndarray:
         """One raw (window, F) feature window (or a batch) to unscaled next-day
@@ -307,7 +320,7 @@ class LstmModel:
             raise DimensionError(
                 f"expected {self.config.window} timesteps, got {X.shape[1]}"
             )
-        y_scaled, _ = self._forward_scaled(self.scale_inputs(np.asarray(X, dtype=float)))
+        y_scaled, _ = self._forward_scaled(self.scale_inputs(X), history=False)
         y = self.target_scaler.inverse(y_scaled)
         return y[0] if single else y
 
@@ -322,15 +335,16 @@ class LstmModel:
 
 
 def make_windows(panel: AlignedPanel, window: int = 6) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding stride-1 windows: inputs (N, window, F) raw features, targets
-    (N, n_assets) raw prices, the PRICE_COLUMNS of the row following each
-    window."""
+    """Sliding stride-1 windows: inputs (N, window, F) raw features, a
+    read-only view of the panel's feature matrix that holds each row once,
+    and targets (N, n_assets) raw prices, the PRICE_COLUMNS of the row
+    following each window."""
     feats = panel.feature_matrix()
     n = feats.shape[0]
     if n < window + 1:
         raise InsufficientDataError(f"need >= {window + 1} rows, have {n}")
-    X = np.stack([feats[k : k + window] for k in range(n - window)])
-    return X, feats[window:, PRICE_COLUMNS].copy()
+    X = np.lib.stride_tricks.sliding_window_view(feats[:-1], window, axis=0)
+    return X.transpose(0, 2, 1), feats[window:, PRICE_COLUMNS].copy()
 
 
 def train(

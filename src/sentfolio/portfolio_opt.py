@@ -13,16 +13,21 @@ forecasts.  Each row is scored with its own GEMV, ``W @ mu_v``: stacking the
 rows into one GEMM (``W @ mus.T``) changes the bits of the returns, and a
 row's pick would then depend on which other rows came with it.
 
-One workspace serves every day of a backtest.  A 50 000 x 5 selection needs
-about 5 MB of arrays: the draws, their transpose and three count-length
-buffers.  When each day allocates them afresh, glibc hands them back to the
-OS and the next day faults them in again: about 1 200 minor page faults per
-day, 480 000 per pass of the 400-day ``allocate`` benchmark.  So
-``predictive_weights`` builds one ``MonteCarloWorkspace`` per call and passes
-it down to ``frontier_samples`` on every day.  It is per call, not cached at
-module level: a cache would outlive the backtest and share mutable arrays
-between callers, and in a trial it raised the peak memory of ``allocate`` by
-9%, where one workspace per call lowered it.
+A selection draws and scores its samples in chunks of ``CHUNK_ROWS`` rows,
+all from one Generator, so the draws are the ones a single (count, n) array
+would get.  A chunk's arrays are the draws, their transpose and three
+chunk-long buffers: 16 384 x (2 * 5 + 3) x 8 B = 1.7 MB at 5 assets, which
+fits in a 2 MB L2 cache, where one 50 000-row workspace took 5.2 MB and its
+scores 0.8 MB more.  Each chunk goes through ``frontier_samples``, and the
+pick is the first maximum over all chunks, so it is ``np.argmax`` over all
+samples: the first maximal Sharpe ratio, or the first NaN.
+
+One workspace serves every day of a backtest.  When each day allocates its
+arrays afresh, glibc hands them back to the OS and the next day faults them
+in again.  So ``predictive_weights`` builds one ``MonteCarloWorkspace`` of
+chunk size per call and passes it down to ``frontier_samples`` on every
+chunk of every day.  It is per call, not cached at module level: a cache
+would outlive the backtest and share mutable arrays between callers.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ WEIGHT_TOL = 1e-9
 VOL_FLOOR = 1e-12
 DEFAULT_SAMPLE_COUNT = 50_000
 DEFAULT_COV_WINDOW = 50
+CHUNK_ROWS = 16_384  # rows of one selection chunk: see the module docstring
 
 
 @dataclass(frozen=True)
@@ -106,7 +112,8 @@ class MonteCarloWorkspace:
     ``W`` holds the (count, n) simplex samples and ``cols`` their (n, count)
     transpose; ``total``, ``variance``, ``term`` and ``flat`` are count-long
     buffers for the row sums, the variances (then volatilities), one product
-    term and the zero-volatility mask.  Each use overwrites them all.
+    term and the zero-volatility mask.  A use of ``count`` rows overwrites
+    the first ``count`` of each.
     """
 
     __slots__ = ("W", "cols", "total", "variance", "term", "flat")
@@ -121,20 +128,26 @@ class MonteCarloWorkspace:
         self.term = np.empty(count)
         self.flat = np.empty(count, dtype=bool)
 
+    def _head(self, count: int) -> tuple[np.ndarray, ...]:
+        """Views of the first ``count`` rows: W, cols, total, variance,
+        term, flat."""
+        return (self.W[:count], self.cols[:, :count], self.total[:count],
+                self.variance[:count], self.term[:count], self.flat[:count])
+
 
 def sample_simplex(n_assets: int, count: int, seed: int) -> np.ndarray:
     """(count, n_assets) weights uniform on the simplex: normalized
     i.i.d. unit-exponential draws. Deterministic per seed."""
     ws = MonteCarloWorkspace(count, n_assets)
-    _draw_simplex(ws, seed)
+    _draw_simplex(ws.W, ws.cols, ws.total, np.random.default_rng(seed))
     return ws.W
 
 
-def _draw_simplex(ws: MonteCarloWorkspace, seed: int) -> None:
-    """Fill ``ws.W`` with ``sample_simplex``'s draws and ``ws.cols`` with
-    their transpose."""
-    W, cols, total = ws.W, ws.cols, ws.total
-    np.random.default_rng(seed).standard_exponential(out=W)
+def _draw_simplex(W: np.ndarray, cols: np.ndarray, total: np.ndarray,
+                  rng: np.random.Generator) -> None:
+    """Fill ``W`` with the next rows of ``sample_simplex``'s draws from
+    ``rng`` and ``cols`` with their transpose; ``total`` is a work buffer."""
+    rng.standard_exponential(out=W)
     np.copyto(cols, W.T)
     # The bits of W.sum(axis=1): numpy adds rows shorter than 8 left to right,
     # as these column adds do at a third of the cost, but wider rows pairwise.
@@ -150,8 +163,14 @@ def _draw_simplex(ws: MonteCarloWorkspace, seed: int) -> None:
 
 def estimate_moments(returns: np.ndarray) -> Moments:
     """Sample mean and (n-1)-denominator covariance from a returns window of
-    shape (n_periods, n_assets)."""
-    return Moments(*_sample_moments(returns))
+    shape (n_periods, n_assets).  Raises ValidationError, without a
+    RuntimeWarning, when either is not finite: a return of 1e200 is a
+    float, but its square is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, cov = _sample_moments(returns)
+    if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+        raise ValidationError("the returns give a non-finite mean or covariance")
+    return Moments(mu, cov)
 
 
 def _sample_moments(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +201,7 @@ def portfolio_stats(w: Weights, m: Moments) -> FrontierSample:
 def frontier_samples(
     m: Moments,
     count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int = 0,
+    seed: int | np.random.Generator = 0,
     workspace: MonteCarloWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Vectorized stats for `count` random portfolios.
@@ -191,21 +210,22 @@ def frontier_samples(
     their volatilities are computed once, and ``rows`` yields (exp_return,
     sharpe) for each expected-return row of ``m``, scored when it is asked
     for, so one row's arrays can be dropped before the next is scored.  Each
-    row's arrays are fresh.
+    row's arrays are fresh.  A Generator as ``seed`` is drawn on from where
+    it stands, so consecutive calls continue one stream.
 
-    With a ``workspace`` (of shape ``(count, n)``) the weights, volatilities
-    and ``rows`` live in its arrays and hold only until its next use; without
-    one they are fresh arrays.
+    With a ``workspace`` (of ``count`` rows or more) the weights,
+    volatilities and ``rows`` live in its first ``count`` rows and hold only
+    until its next use; without one they are fresh arrays.
     """
     n = m.mu.shape[-1]
     ws = MonteCarloWorkspace(count, n) if workspace is None else workspace
-    if ws.W.shape != (count, n):
-        raise DimensionError(f"workspace shape {ws.W.shape} != ({count}, {n})")
-    _draw_simplex(ws, seed)
+    if ws.W.shape[1] != n or ws.W.shape[0] < count:
+        raise DimensionError(f"workspace shape {ws.W.shape} holds no ({count}, {n})")
+    W, cols, total, variance, term, flat = ws._head(count)
+    _draw_simplex(W, cols, total, np.random.default_rng(seed))
     # einsum("ij,jk,ik->i", W, cov, W) term by term and in its order: the sum
     # over j, then k, of (w_j * cov_jk) * w_k.  Same bits, about 2.5x faster
     # at 50 000 x 5 than einsum itself.
-    cols, variance, term = ws.cols, ws.variance, ws.term
     variance.fill(0.0)
     for j in range(n):
         for k in range(n):
@@ -213,8 +233,8 @@ def frontier_samples(
             term *= cols[k]
             variance += term
     vol = np.sqrt(np.maximum(variance, 0.0, out=variance), out=variance)
-    np.less(vol, VOL_FLOOR, out=ws.flat)
-    return ws.W, vol, _scored_rows(ws.W, vol, ws.flat, np.atleast_2d(m.mu))
+    np.less(vol, VOL_FLOOR, out=flat)
+    return W, vol, _scored_rows(W, vol, flat, np.atleast_2d(m.mu))
 
 
 def _scored_rows(W, vol, flat, mus):
@@ -235,27 +255,35 @@ def mean_variance_select(
     workspace: MonteCarloWorkspace | None = None,
 ) -> list[FrontierSample]:
     """Sharpe-maximal portfolio among `count` simplex samples, one per
-    expected-return row of ``m``; ties break to the lowest sample index.
+    expected-return row of ``m``; ties break to the lowest sample index, and
+    a NaN Sharpe ratio is picked first, as ``np.argmax`` picks.
 
-    Every row is scored on the same samples, drawn in ``workspace`` when one
-    is given.  Raises DegenerateMarketError, for all rows at once, when every
+    Every row is scored on the same samples, drawn chunk by chunk in
+    ``workspace`` (of ``min(count, CHUNK_ROWS)`` rows or more) when one is
+    given.  Raises DegenerateMarketError, for all rows at once, when every
     sample has zero volatility.
     """
-    ws = MonteCarloWorkspace(count, m.mu.shape[-1]) if workspace is None else workspace
-    W, vol, rows = frontier_samples(m, count, seed, ws)
-    if ws.flat.all():
+    n = m.mu.shape[-1]
+    ws = MonteCarloWorkspace(min(count, CHUNK_ROWS), n) if workspace is None else workspace
+    rng = np.random.default_rng(seed)
+    best = [None] * len(np.atleast_2d(m.mu))  # per row: (sharpe, exp_return, vol, weights)
+    all_flat = True
+    for lo in range(0, count, CHUNK_ROWS):
+        rows = min(CHUNK_ROWS, count - lo)
+        W, vol, scored = frontier_samples(m, rows, rng, ws)
+        all_flat = all_flat and bool(ws.flat[:rows].all())
+        for v, (exp_ret, sharpe) in enumerate(scored):
+            i = int(np.argmax(sharpe))
+            kept = best[v]
+            # the first maximum over all chunks, or the first NaN
+            if kept is None or (not math.isnan(kept[0])
+                                and (sharpe[i] > kept[0] or math.isnan(sharpe[i]))):
+                best[v] = (float(sharpe[i]), float(exp_ret[i]), float(vol[i]), W[i].copy())
+            del exp_ret, sharpe  # drop this row's scores before the next is scored
+    if all_flat:
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
-    picks = []
-    for exp_ret, sharpe in rows:
-        best = int(np.argmax(sharpe))
-        picks.append(FrontierSample(
-            weights=Weights.from_array(W[best]),
-            exp_return=float(exp_ret[best]),
-            volatility=float(vol[best]),
-            sharpe=float(sharpe[best]),
-        ))
-        del exp_ret, sharpe  # drop this row's scores before the next is scored
-    return picks
+    return [FrontierSample(Weights.from_array(w), exp_return, volatility, sharpe)
+            for sharpe, exp_return, volatility, w in best]
 
 
 # -- allocation strategies --------------------------------------------------
@@ -317,7 +345,7 @@ def predictive_weights(
     if last_closes.shape != (T, n) or len(trailing_returns) != T:
         raise DimensionError("predictive inputs misaligned")
     out: list[list[Weights]] = [[] for _ in range(V)]
-    workspace = MonteCarloWorkspace(count, n)  # see the module docstring
+    workspace = MonteCarloWorkspace(min(count, CHUNK_ROWS), n)  # see the module docstring
     for t in range(T):
         mu = predicted_prices[:, t] / last_closes[t] - 1.0
         m = Moments(mu=mu, cov=_sample_moments(trailing_returns[t])[1])

@@ -331,14 +331,21 @@ def _out_files(**texts):
     return corrupt
 
 
-def _overflowing_return(path_of):
-    """Closes of 1e-10 and then 1e300 for AAA on lines 4 and 5 of the file
-    ``path_of(root)``: their ratio overflows a float."""
+def _overflowing_return(path_of, low="1e-10", high="1e300"):
+    """Closes of ``low`` and then ``high`` for AAA on lines 4 and 5 of the
+    file ``path_of(root)``: by default their ratio overflows a float."""
     def corrupt(root):
         path = path_of(root)
-        _set_field(path, 4, 1, "1e-10")
-        _set_field(path, 5, 1, "1e300")
+        _set_field(path, 4, 1, low)
+        _set_field(path, 5, 1, high)
     return corrupt
+
+
+def _huge_return(root):
+    """Closes of 1e-100 and then 1e100 for AAA, then ingest: the return of
+    1e200 is a float, but its square is not."""
+    _overflowing_return(lambda root: root / "data" / "AAA.csv", "1e-100", "1e100")(root)
+    _ingested(root)
 
 
 def _flat_prices(root):
@@ -495,6 +502,9 @@ BAD_INPUTS = {
     "panel return that overflows a float": (
         "analyze", _overflowing_return(_ingested),
         "panel.csv:5: AAA: the return from 2015-01-03 to 2015-01-04 overflows a float"),
+    "return whose square overflows a float": (
+        "frontier", _huge_return,
+        "panel.csv: train split: the returns give a non-finite mean or covariance"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
     "misspelled replicate_seeds": (

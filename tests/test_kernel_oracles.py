@@ -1,26 +1,31 @@
 """Exact oracles for the hot-path kernels: the logistic function, the LSTM
-forward/backward pass, the Monte-Carlo portfolio variance, the selection
-that scores several forecasts on one set of draws and the reuse of one
-Monte-Carlo workspace across days.
+forward/backward pass and its forward without history, the sliding
+windows, the Monte-Carlo portfolio variance, the selection that scores
+several forecasts on one set of draws, the selection in chunks and the
+reuse of one Monte-Carlo workspace across days.
 
 Each fast kernel keeps every GEMM, sum and product of its reference in the
 same order, so the comparisons here are bit for bit, not within a tolerance.
 """
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid
+from sentfolio import portfolio_opt
+from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid, make_windows
 from sentfolio.errors import DegenerateMarketError
 from sentfolio.portfolio_opt import (
+    CHUNK_ROWS,
     VOL_FLOOR,
     Moments,
     MonteCarloWorkspace,
     frontier_samples,
     mean_variance_select,
 )
+from sentfolio.synthetic import make_panel
 
 
 def assert_bits(actual, expected):
@@ -158,6 +163,38 @@ def test_lstm_matches_per_step_reference(num_layers, hidden, width):
             model.adam_step(grad)
 
 
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_forward_without_history_matches_training_forward(num_layers):
+    """``loss`` and ``forward`` keep no per-step gates or cells, and give bit
+    for bit what the training forward gives."""
+    rng = np.random.default_rng(num_layers)
+    for batch in (1, 17, 32, 194, 554):
+        model = LstmModel(LstmConfig(hidden_size=13, num_layers=num_layers, seed=batch), 5)
+        raw = rng.uniform(50.0, 150.0, size=(batch, 6, 30))
+        model.fit_scaler(raw.reshape(-1, 30))
+        X = model.scale_inputs(raw)
+        Y = rng.uniform(size=(batch, 5))
+        y_train, layers = model._forward_scaled(X)
+        y, none = model._forward_scaled(X, history=False)
+        assert len(layers) == num_layers and none == []
+        assert_bits(y, y_train)
+        err = y_train - Y
+        assert model.loss(X, Y) == float(np.mean(err ** 2))
+        assert_bits(model.forward(raw), model.target_scaler.inverse(y_train))
+        # one window is a batch of one: B = 1 has GEMMs of its own
+        assert_bits(model.forward(raw[0]),
+                    model.target_scaler.inverse(model._forward_scaled(X[:1])[0])[0])
+
+
+@pytest.mark.parametrize("window", [1, 6])
+def test_windows_are_a_read_only_view_of_stacked_rows(window):
+    panel = make_panel(seed=4, n_days=60)
+    feats = panel.feature_matrix()
+    X, _ = make_windows(panel, window)
+    assert_bits(X, np.stack([feats[k : k + window] for k in range(len(feats) - window)]))
+    assert not X.flags.writeable and np.shares_memory(X, panel.values)
+
+
 # -- Monte-Carlo portfolio variance -----------------------------------------
 
 def random_cov(rng, n):
@@ -265,3 +302,163 @@ def test_frontier_without_workspace_returns_fresh_arrays():
     assert not np.array_equal(W2, first[0])
     for kept, copy in zip((W, vol, exp_ret, sharpe), first):
         assert_bits(kept, copy)
+
+
+# -- one selection in chunks --------------------------------------------------
+
+def one_shot_frontier(m, count, seed):
+    """Every sample of one selection in one workspace, as first written:
+    (W, vol, flat, [(exp_ret, sharpe) per row])."""
+    n = m.mu.shape[-1]
+    W = np.random.default_rng(seed).standard_exponential(size=(count, n))
+    cols = W.T.copy()
+    if n < 8:
+        total = cols[0].copy()
+        for col in cols[1:]:
+            total += col
+    else:
+        total = W.sum(axis=1)
+    W /= total[:, None]
+    cols /= total
+    variance = np.zeros(count)
+    for j in range(n):
+        for k in range(n):
+            variance += cols[j] * m.cov[j, k] * cols[k]
+    vol = np.sqrt(np.maximum(variance, 0.0))
+    flat = vol < VOL_FLOOR
+    divisor = np.maximum(vol, VOL_FLOOR) if flat.any() else vol
+    rows = []
+    for mu in np.atleast_2d(m.mu):
+        exp_ret = W @ mu
+        sharpe = exp_ret / divisor
+        sharpe[flat] = 0.0
+        rows.append((exp_ret, sharpe))
+    return W, vol, flat, rows
+
+
+def one_shot_select(m, count, seed):
+    """(sample index, exp_return, volatility, sharpe) per row, picked over
+    all samples at once; None when every sample is flat."""
+    W, vol, flat, rows = one_shot_frontier(m, count, seed)
+    if flat.all():
+        return None
+    return [(int(np.argmax(sharpe)),) + tuple(
+        float(a[np.argmax(sharpe)]) for a in (exp_ret, vol, sharpe)) for exp_ret, sharpe in rows]
+
+
+def chunked_select(monkeypatch, m, count, seed):
+    """mean_variance_select's picks and every sample it scored, chunk by
+    chunk: (picks or None, W, vol, [(exp_ret, sharpe) per row])."""
+    chunks = []
+
+    def recording(*args):
+        W, vol, rows = frontier_samples(*args)
+        chunks.append((W.copy(), vol.copy(), [(r.copy(), s.copy()) for r, s in rows]))
+        return W, vol, iter(chunks[-1][2])
+
+    monkeypatch.setattr(portfolio_opt, "frontier_samples", recording)
+    try:
+        picks = mean_variance_select(m, count, seed=seed)
+    except DegenerateMarketError:
+        picks = None
+    monkeypatch.undo()
+    assert [len(vol) for _, vol, _ in chunks] == [
+        min(CHUNK_ROWS, count - lo) for lo in range(0, count, CHUNK_ROWS)]
+    rows = [tuple(np.concatenate(parts) for parts in zip(*row_chunks))
+            for row_chunks in zip(*(c[2] for c in chunks))]
+    return (picks, np.concatenate([c[0] for c in chunks]),
+            np.concatenate([c[1] for c in chunks]), rows)
+
+
+def assert_chunked_matches_one_shot(monkeypatch, m, count, seed):
+    picks, W, vol, rows = chunked_select(monkeypatch, m, count, seed)
+    W_ref, vol_ref, _, rows_ref = one_shot_frontier(m, count, seed)
+    assert_bits(W, W_ref)
+    assert_bits(vol, vol_ref)
+    assert len(rows) == len(rows_ref)
+    for (exp_ret, sharpe), (exp_ref, sharpe_ref) in zip(rows, rows_ref):
+        assert_bits(exp_ret, exp_ref)
+        assert_bits(sharpe, sharpe_ref)
+    want = one_shot_select(m, count, seed)
+    assert (picks is None) == (want is None)
+    for got, (index, exp_return, volatility, sharpe) in zip(picks or (), want or ()):
+        assert_bits(got.weights.as_array(), W_ref[index])
+        assert_bits(got.exp_return, exp_return)
+        assert_bits(got.volatility, volatility)
+        assert_bits(got.sharpe, sharpe)
+    return want
+
+
+@pytest.mark.parametrize("n_assets", [1, 5, 12])
+@pytest.mark.parametrize("n_rows", [1, 2])
+@pytest.mark.parametrize("count", [1, 7, 8193, 50_000])
+def test_chunked_selection_matches_one_shot(monkeypatch, n_assets, n_rows, count):
+    """50 000 samples are three chunks of CHUNK_ROWS and a tail of 848."""
+    rng = np.random.default_rng(1000 * n_assets + count)
+    m = Moments(mu=rng.normal(0.001, 0.01, (n_rows, n_assets)), cov=random_cov(rng, n_assets))
+    assert assert_chunked_matches_one_shot(monkeypatch, m, count, seed=count) is not None
+
+
+def test_chunked_selection_breaks_a_planted_tie_to_the_first_sample(monkeypatch):
+    """With equal expected returns and a covariance of equal entries every
+    Sharpe ratio is the same up to rounding: the maximum repeats in several
+    chunks, and the pick is its first sample."""
+    m = Moments(mu=np.full((2, 5), 0.001), cov=np.full((5, 5), 1e-4))
+    _, _, _, rows = one_shot_frontier(m, 50_000, seed=1)
+    sharpe = rows[0][1]
+    assert len(set(np.flatnonzero(sharpe == sharpe.max()) // CHUNK_ROWS)) > 1
+    assert_chunked_matches_one_shot(monkeypatch, m, 50_000, seed=1)
+
+
+def test_chunked_selection_picks_the_first_nan(monkeypatch):
+    """A NaN forecast makes every Sharpe ratio of its row NaN; np.argmax
+    picks the first, and the other row is picked as alone."""
+    rng = np.random.default_rng(3)
+    mus = rng.normal(0.001, 0.01, (2, 5))
+    mus[1, 2] = np.nan
+    want = assert_chunked_matches_one_shot(
+        monkeypatch, Moments(mu=mus, cov=random_cov(rng, 5)), 50_000, seed=3)
+    assert want[1][0] == 0 and math.isnan(want[1][3])
+
+
+def test_chunked_selection_on_a_near_flat_covariance(monkeypatch):
+    """A covariance scaled so that the three least volatile samples fall
+    below VOL_FLOOR: some chunks hold flat samples (Sharpe 0), others not."""
+    rng = np.random.default_rng(4)
+    mus, cov = rng.normal(0.001, 0.01, (2, 5)), random_cov(rng, 5)
+    _, vol, _, _ = one_shot_frontier(Moments(mu=mus, cov=cov), 50_000, seed=4)
+    m = Moments(mu=mus, cov=cov * (VOL_FLOOR / np.sort(vol)[3]) ** 2)
+    _, _, flat, _ = one_shot_frontier(m, 50_000, seed=4)
+    per_chunk = [flat[lo : lo + CHUNK_ROWS].any() for lo in range(0, 50_000, CHUNK_ROWS)]
+    assert 0 < flat.sum() < flat.size and 0 < sum(per_chunk) < len(per_chunk)
+    assert_chunked_matches_one_shot(monkeypatch, m, 50_000, seed=4)
+
+
+@pytest.mark.parametrize("scores", [
+    [1.0, 5.0, 5.0, 2.0, 0.0, 5.0, 3.0, 4.0],  # a later equal maximum loses
+    [1.0, 5.0, 6.0, np.nan, np.nan, 9.0, 2.0, 3.0],  # a NaN wins, and keeps winning
+])
+def test_chunked_selection_merges_picks_as_argmax(monkeypatch, scores):
+    """In chunks of 2 the pick is np.argmax over all 8 samples.  Each
+    scripted sample's expected return is its index."""
+    drawn = []
+
+    def scripted(m, count, rng, ws):
+        W, _, _, _, _, flat = ws._head(count)
+        W[...] = 0.5
+        flat[...] = False
+        index = np.arange(len(drawn), len(drawn) + count, dtype=float)
+        drawn.extend(index)
+        return W, np.ones(count), iter([(index, np.array(scores)[index.astype(int)])])
+
+    monkeypatch.setattr(portfolio_opt, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(portfolio_opt, "frontier_samples", scripted)
+    (pick,) = mean_variance_select(Moments(mu=np.zeros(2), cov=np.eye(2)), count=8, seed=0)
+    assert len(drawn) == 8
+    assert pick.exp_return == np.argmax(scores)
+    assert_bits(pick.sharpe, scores[int(np.argmax(scores))])
+
+
+def test_chunked_selection_all_flat_raises():
+    with pytest.raises(DegenerateMarketError):
+        mean_variance_select(Moments(mu=np.full((2, 5), 0.01), cov=np.zeros((5, 5))), 50_000)

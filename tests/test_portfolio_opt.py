@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +100,14 @@ class TestMoments:
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             estimate_moments(np.zeros((1, 3)))
+
+    def test_overflowing_covariance_refused_without_warning(self):
+        # a return of 1e200 is a float, its square is not
+        R = np.array([[0.01, 0.02], [1e200, -0.02], [0.02, 0.03]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite mean or covariance"):
+                estimate_moments(R)
 
 
 class TestPortfolioStats:
@@ -294,3 +304,19 @@ class TestPredictiveWeights:
         trailing = [rng.normal(0.0, 0.01, size=(50, 3))]
         ((w,),) = predictive_weights(pred, last, trailing, count=20_000, seed=0)
         assert w.values[0] > 0.5
+
+
+def test_selection_memory_is_bounded():
+    """One 50 000-sample selection on 5 assets works in chunks: its arrays
+    at their peak stay under 3 MB, where one workspace of all samples and
+    their scores took about 6 MB."""
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((5, 8)) * 0.02
+    m = Moments(mu=rng.normal(0.001, 0.01, 5), cov=A @ A.T)
+    tracemalloc.start()
+    try:
+        mean_variance_select(m, count=50_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
