@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import pipeline, sentiment, svg
 from .backtest import DEFAULT_INITIAL_CAPITAL, WealthCurve, compare_strategies
@@ -121,19 +120,6 @@ SECTIONS = {key.split(".")[0] for key in KEYS if "." in key}
 BOUNDS = {">=": operator.ge, ">": operator.gt}
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe YAML loader, refusing a key that a mapping repeats."""
-
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep)
-        keys = [self.construct_object(key_node) for key_node, _ in node.value]
-        for i, (key_node, _) in enumerate(node.value):
-            if keys[i] in keys[:i]:
-                raise yaml.constructor.ConstructorError(
-                    None, None, f"repeated key {keys[i]!r}", key_node.start_mark)
-        return mapping
-
-
 def _given(mapping: dict, prefix: str = ""):
     """(dotted key, value) for each key ``mapping`` sets; unknown keys are refused."""
     for key, value in mapping.items():
@@ -182,10 +168,27 @@ def _checked(key: str, value, kind: type, bound: str | None, base: Path):
 def load_config(path: str | Path, seed_override: int | None = None,
                 out_override: str | None = None) -> RunConfig:
     """Parse a YAML run configuration: a key absent from it takes its KEYS default; a
-    repeated or unknown key, or a bad value, is a ConfigurationError naming it."""
+    repeated or unknown key, or a bad value, is a ConfigurationError naming it.
+
+    PyYAML is imported here, not with the module: importing it takes about
+    1 MB of memory, which callers of the pipeline alone need not pay."""
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        """The safe YAML loader, refusing a key that a mapping repeats."""
+
+        def construct_mapping(self, node, deep=False):
+            mapping = super().construct_mapping(node, deep)
+            keys = [self.construct_object(key_node) for key_node, _ in node.value]
+            for i, (key_node, _) in enumerate(node.value):
+                if keys[i] in keys[:i]:
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"repeated key {keys[i]!r}", key_node.start_mark)
+            return mapping
+
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), _UniqueKeyLoader) or {}
+        raw = yaml.load(path.read_text(encoding="utf-8"), UniqueKeyLoader) or {}
     except UnicodeDecodeError as exc:
         raise undecodable(path) from exc
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: a date such as 2015-13-02
@@ -425,16 +428,23 @@ def _parse_down_market(arg: str | None):
 def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
     panel = read_panel(cfg)
     window = _parse_down_market(down_market)
-    result = pipeline.run_pipeline(
-        panel,
-        split=cfg.split,
-        lstm_config=cfg.lstm,
-        mc_count=cfg.mc_count,
-        mc_seed=cfg.mc_seed,
-        cov_window=cfg.cov_window,
-        initial_capital=cfg.initial_capital,
-        test_window=window,
-    )
+    try:
+        result = pipeline.run_pipeline(
+            panel,
+            split=cfg.split,
+            lstm_config=cfg.lstm,
+            mc_count=cfg.mc_count,
+            mc_seed=cfg.mc_seed,
+            cov_window=cfg.cov_window,
+            initial_capital=cfg.initial_capital,
+            test_window=window,
+        )
+        capitals = cfg.replicate_seeds and pipeline.replicates(
+            ((panel, seed, cfg.mc_seed + seed) for seed in cfg.replicate_seeds),
+            cfg.split, cfg.lstm, cfg.mc_count, cfg.cov_window, cfg.initial_capital, window)
+    except (DegenerateInputError, ValidationError) as exc:
+        # the panel's returns overflow a trailing covariance or a metric
+        raise ValidationError(f"{_panel_path(cfg)}: {exc}") from exc
     curves_path = cfg.out_dir / "wealth_curves.csv"
     names = list(result.curves)
     dates = result.curves[names[0]].dates
@@ -445,10 +455,7 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
     rep_path = cfg.out_dir / "replicates.csv"
     # report reads replicates.csv when it exists: none may outlive its seeds
     rep_path.unlink(missing_ok=True)
-    if cfg.replicate_seeds:
-        capitals = pipeline.replicates(
-            ((panel, seed, cfg.mc_seed + seed) for seed in cfg.replicate_seeds),
-            cfg.split, cfg.lstm, cfg.mc_count, cfg.cov_window, cfg.initial_capital, window)
+    if capitals:
         _write_csv(rep_path, cfg, ["seed", "lstm_sentiment_final", "lstm_final"],
                    [[seed, *map(repr, pair)] for seed, pair in zip(cfg.replicate_seeds, capitals)])
     print(f"wrote {curves_path}")

@@ -11,7 +11,13 @@ training keeps per-step arrays: for backprop its forward pass keeps per
 layer the activated gates (T, B, 4H) and the cell and hidden states c, h
 (T+1, B, H), whose index 0 is the zero initial state.  ``loss`` and
 ``forward`` run the same step with one (B, 4H) gate buffer and one cell
-state per layer, and keep only the hidden states that the next layer reads.
+state per layer, and keep only the hidden states that the next layer reads:
+all T of a lower layer, and the one row that the top layer's next step reads.
+
+``make_windows`` views the feature matrix: window i is rows i..i+T-1, so
+each row is stored once.  ``scale_inputs`` keeps that layout.  It scales
+such windows' matrix once and views the result the same way, where a copy
+of the windows would hold each scaled row T times.
 
 The step kernels write into those arrays in place, but every GEMM, sum and
 product runs on the same operands and in the same order as the plain
@@ -128,15 +134,16 @@ class MinMaxScaler:
         return out
 
 
-def _sigmoid(x: np.ndarray, out: np.ndarray) -> None:
+def _sigmoid(x: np.ndarray, out: np.ndarray, e: np.ndarray) -> None:
     """Overflow-free logistic function of ``x``, written into ``out`` (which
-    may be ``x`` itself).
+    may be ``x`` itself); ``e``, of x's shape, is a work buffer that aliases
+    neither.
 
     With e = exp(-|x|) this is 1 / (1 + e) for x >= 0 and e / (1 + e) below,
     bit for bit the two-branch formula, with the numerator max(e, [x >= 0])
     taken without masks or fancy indexing.  NaN stays NaN.
     """
-    e = np.abs(x)
+    np.abs(x, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.greater_equal(x, 0.0, out=out)
@@ -208,8 +215,8 @@ class LstmModel:
         """X: (B, T, F) scaled. Returns (B, n_assets) scaled predictions and,
         with ``history``, the per-layer (inputs, gates, c, h) arrays that
         backward reads.  Without it every step writes its gates into one
-        (B, 4H) buffer and its cell state over the last, and the list is
-        empty."""
+        (B, 4H) buffer and its cell state over the last, the top layer's
+        hidden state goes the same way, and the list is empty."""
         width = self.W[0].shape[0]
         if X.ndim != 3 or X.shape[2] != width:
             raise DimensionError(f"expected (B, T, {width}), got {X.shape}")
@@ -217,31 +224,33 @@ class LstmModel:
         H = self.config.hidden_size
         layers = []
         xs = X.transpose(1, 0, 2)
-        hU = np.empty((B, 4 * H))
-        kept = T if history else 1  # the steps whose gates and cell are kept
-        for W, U, b in zip(self.W, self.U, self.b):
-            gates = np.empty((kept, B, 4 * H))
-            c = np.zeros((kept + 1, B, H))
-            h = np.zeros((T + 1, B, H))
+        hU = np.empty((B, 4 * H))  # h U, then the sigmoid's work buffer
+        top = len(self.W) - 1
+        # Step t reads row t % len and writes row (t + 1) % len of c and h,
+        # and writes its gates into row t % len: one row is a rolling state.
+        for l, (W, U, b) in enumerate(zip(self.W, self.U, self.b)):
+            gates = np.empty((T if history else 1, B, 4 * H))
+            c = np.zeros((T + 1 if history else 1, B, H))
+            h = np.zeros((T + 1 if history or l < top else 1, B, H))
             for t in range(T):
-                k = t if history else 0
-                a = gates[k]  # z = x W + h U + b, summed in that order
+                a = gates[t % len(gates)]  # z = x W + h U + b, summed in that order
                 np.matmul(xs[t], W, out=a)
-                a += np.matmul(h[t], U, out=hU)
+                a += np.matmul(h[t % len(h)], U, out=hU)
                 a += b
                 g = np.tanh(a[:, 2 * H : 3 * H])
-                _sigmoid(a, out=a)
+                _sigmoid(a, out=a, e=hU)
                 a[:, 2 * H : 3 * H] = g
-                c_next = c[k + 1] if history else c[0]
-                np.multiply(a[:, H : 2 * H], c[k], out=c_next)
+                c_next = c[(t + 1) % len(c)]
+                np.multiply(a[:, H : 2 * H], c[t % len(c)], out=c_next)
                 g *= a[:, :H]
                 c_next += g
-                np.tanh(c_next, out=h[t + 1])
-                h[t + 1] *= a[:, 3 * H :]
+                h_next = h[(t + 1) % len(h)]
+                np.tanh(c_next, out=h_next)
+                h_next *= a[:, 3 * H :]
             if history:
                 layers.append((xs, gates, c, h))
             xs = h[1:]
-        return xs[-1] @ self.W_out + self.b_out, layers
+        return h[T % len(h)] @ self.W_out + self.b_out, layers
 
     def _backward(self, dY: np.ndarray, layers) -> np.ndarray:
         """Gradient in theta order, given dLoss/dY (B, n_assets)."""
@@ -307,9 +316,17 @@ class LstmModel:
     # -- public API ---------------------------------------------------------
 
     def scale_inputs(self, X: np.ndarray) -> np.ndarray:
-        """Raw (B, T, F) windows, ``make_windows``' view too, scaled into one
-        new array."""
-        return self.scaler.transform(X)
+        """Raw (B, T, F) windows, scaled.  Where window i's step t is row
+        i + t of one matrix, as in ``make_windows``' view (equal strides on
+        the first two axes), that matrix is scaled once and viewed the same
+        way, read-only.  Any other batch is scaled into one new array."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 3 or len(X) < 2 or X.strides[0] != X.strides[1]:
+            return self.scaler.transform(X)
+        B, T, F = X.shape
+        rows = np.lib.stride_tricks.as_strided(
+            X, (B + T - 1, F), X.strides[1:], writeable=False)
+        return _windows(self.scaler.transform(rows), T)
 
     def forward(self, window: np.ndarray) -> np.ndarray:
         """One raw (window, F) feature window (or a batch) to unscaled next-day
@@ -334,6 +351,12 @@ class LstmModel:
         self.theta -= self.config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
+def _windows(matrix: np.ndarray, window: int) -> np.ndarray:
+    """The read-only (len(matrix) - window + 1, window, F) view of
+    ``matrix`` whose window i is rows i..i+window-1."""
+    return np.lib.stride_tricks.sliding_window_view(matrix, window, axis=0).transpose(0, 2, 1)
+
+
 def make_windows(panel: AlignedPanel, window: int = 6) -> tuple[np.ndarray, np.ndarray]:
     """Sliding stride-1 windows: inputs (N, window, F) raw features, a
     read-only view of the panel's feature matrix that holds each row once,
@@ -343,8 +366,7 @@ def make_windows(panel: AlignedPanel, window: int = 6) -> tuple[np.ndarray, np.n
     n = feats.shape[0]
     if n < window + 1:
         raise InsufficientDataError(f"need >= {window + 1} rows, have {n}")
-    X = np.lib.stride_tricks.sliding_window_view(feats[:-1], window, axis=0)
-    return X.transpose(0, 2, 1), feats[window:, PRICE_COLUMNS].copy()
+    return _windows(feats[:-1], window), feats[window:, PRICE_COLUMNS].copy()
 
 
 def train(

@@ -18,9 +18,11 @@ all from one Generator, so the draws are the ones a single (count, n) array
 would get.  A chunk's arrays are the draws, their transpose and three
 chunk-long buffers: 16 384 x (2 * 5 + 3) x 8 B = 1.7 MB at 5 assets, which
 fits in a 2 MB L2 cache, where one 50 000-row workspace took 5.2 MB and its
-scores 0.8 MB more.  Each chunk goes through ``frontier_samples``, and the
-pick is the first maximum over all chunks, so it is ``np.argmax`` over all
-samples: the first maximal Sharpe ratio, or the first NaN.
+scores 0.8 MB more.  Each row's scores go into two of the chunk's buffers
+that are free once the variances are summed.  Each chunk goes through
+``frontier_samples``, and the pick is the first maximum over all chunks, so
+it is ``np.argmax`` over all samples: the first maximal Sharpe ratio, or the
+first NaN.
 
 One workspace serves every day of a backtest.  When each day allocates its
 arrays afresh, glibc hands them back to the OS and the next day faults them
@@ -112,8 +114,9 @@ class MonteCarloWorkspace:
     ``W`` holds the (count, n) simplex samples and ``cols`` their (n, count)
     transpose; ``total``, ``variance``, ``term`` and ``flat`` are count-long
     buffers for the row sums, the variances (then volatilities), one product
-    term and the zero-volatility mask.  A use of ``count`` rows overwrites
-    the first ``count`` of each.
+    term and the zero-volatility mask.  Once the variances are summed,
+    ``term`` and ``total`` hold a scored row's expected returns and Sharpe
+    ratios.  A use of ``count`` rows overwrites the first ``count`` of each.
     """
 
     __slots__ = ("W", "cols", "total", "variance", "term", "flat")
@@ -163,27 +166,26 @@ def _draw_simplex(W: np.ndarray, cols: np.ndarray, total: np.ndarray,
 
 def estimate_moments(returns: np.ndarray) -> Moments:
     """Sample mean and (n-1)-denominator covariance from a returns window of
-    shape (n_periods, n_assets).  Raises ValidationError, without a
-    RuntimeWarning, when either is not finite: a return of 1e200 is a
-    float, but its square is not."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        mu, cov = _sample_moments(returns)
-    if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
-        raise ValidationError("the returns give a non-finite mean or covariance")
-    return Moments(mu, cov)
+    shape (n_periods, n_assets); see ``_sample_moments``."""
+    return Moments(*_sample_moments(returns))
 
 
 def _sample_moments(returns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unvalidated (mu, cov) of ``estimate_moments``."""
+    """(mu, cov) of ``estimate_moments``, not yet checked as a ``Moments``.
+    Raises ValidationError, without a RuntimeWarning, when either is not
+    finite: a return of 1e200 is a float, but its square is not."""
     returns = np.asarray(returns, dtype=float)
     if returns.ndim != 2:
         raise DimensionError("returns window must be 2-D")
     if returns.shape[0] < 2:
         raise InsufficientDataError("need at least 2 return rows")
-    mu = returns.mean(axis=0)
-    centered = returns - mu
-    cov = centered.T @ centered / (returns.shape[0] - 1)
-    cov = (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = returns.mean(axis=0)
+        centered = returns - mu
+        cov = centered.T @ centered / (returns.shape[0] - 1)
+        cov = (cov + cov.T) / 2.0
+    if not (np.isfinite(mu).all() and np.isfinite(cov).all()):
+        raise ValidationError("the returns give a non-finite mean or covariance")
     return mu, cov
 
 
@@ -209,13 +211,14 @@ def frontier_samples(
     Returns (weights (count, n), volatility (count,), rows): the samples and
     their volatilities are computed once, and ``rows`` yields (exp_return,
     sharpe) for each expected-return row of ``m``, scored when it is asked
-    for, so one row's arrays can be dropped before the next is scored.  Each
-    row's arrays are fresh.  A Generator as ``seed`` is drawn on from where
-    it stands, so consecutive calls continue one stream.
+    for.  A Generator as ``seed`` is drawn on from where it stands, so
+    consecutive calls continue one stream.
 
     With a ``workspace`` (of ``count`` rows or more) the weights,
-    volatilities and ``rows`` live in its first ``count`` rows and hold only
-    until its next use; without one they are fresh arrays.
+    volatilities and scores live in its first ``count`` rows: each row's
+    scores hold until the next row is scored, the rest until the
+    workspace's next use.  Without one they are fresh arrays, and so is
+    each row's pair.
     """
     n = m.mu.shape[-1]
     ws = MonteCarloWorkspace(count, n) if workspace is None else workspace
@@ -234,15 +237,19 @@ def frontier_samples(
             variance += term
     vol = np.sqrt(np.maximum(variance, 0.0, out=variance), out=variance)
     np.less(vol, VOL_FLOOR, out=flat)
-    return W, vol, _scored_rows(W, vol, flat, np.atleast_2d(m.mu))
+    scores = None if workspace is None else (term, total)
+    return W, vol, _scored_rows(W, vol, flat, np.atleast_2d(m.mu), scores)
 
 
-def _scored_rows(W, vol, flat, mus):
+def _scored_rows(W, vol, flat, mus, scores):
+    """(exp_return, sharpe) per row of ``mus``, written into the pair of
+    buffers ``scores``, or into a fresh pair per row when it is None."""
     any_flat = flat.any()
     divisor = np.maximum(vol, VOL_FLOOR) if any_flat else vol
     for mu in mus:
-        exp_ret = W @ mu  # one GEMV per row: see the module docstring
-        sharpe = exp_ret / divisor
+        exp_ret, sharpe = scores or (np.empty(len(W)), np.empty(len(W)))
+        np.matmul(W, mu, out=exp_ret)  # one GEMV per row: see the module docstring
+        np.divide(exp_ret, divisor, out=sharpe)
         if any_flat:
             sharpe[flat] = 0.0
         yield exp_ret, sharpe
@@ -279,7 +286,6 @@ def mean_variance_select(
             if kept is None or (not math.isnan(kept[0])
                                 and (sharpe[i] > kept[0] or math.isnan(sharpe[i]))):
                 best[v] = (float(sharpe[i]), float(exp_ret[i]), float(vol[i]), W[i].copy())
-            del exp_ret, sharpe  # drop this row's scores before the next is scored
     if all_flat:
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
     return [FrontierSample(Weights.from_array(w), exp_return, volatility, sharpe)
@@ -332,8 +338,9 @@ def predictive_weights(
 
     ``predicted_prices`` is (V, T, n): one forecast per variant.  mu for day
     t = predicted_price / last close - 1; cov from that day's trailing
-    simple-return window.  The Monte-Carlo seed advances by day index so runs
-    are deterministic.  By design all V variants are scored on day t's one
+    simple-return window, refused with a ValidationError when it is not
+    finite.  The Monte-Carlo seed advances by day index so runs are
+    deterministic.  By design all V variants are scored on day t's one
     set of draws (common random numbers), so their weights differ only
     through their forecasts.  Each variant's row gets its own GEMV, so its
     pick is bit for bit the one it gets alone.  A degenerate day gives every

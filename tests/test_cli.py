@@ -5,6 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -102,6 +105,20 @@ class TestConfig:
         (tmp_path / "data").mkdir()
         (tmp_path / "config.yaml").write_text("assets: [ZZZ]\ndata_dir: data\n")
         assert main(["ingest", "--config", str(tmp_path / "config.yaml")]) == 2
+
+    def test_only_reading_a_config_loads_yaml(self):
+        """The package and the benchmark's modules import without PyYAML,
+        which costs about 1 MB of memory; ``load_config`` imports it."""
+        root = Path(__file__).resolve().parent.parent
+        code = ("import sys, sentfolio\n"
+                "from sentfolio import (backtest, cli, forecast_lstm, market_data, pipeline,\n"
+                "                       portfolio_opt, sentiment, stats, svg, synthetic)\n"
+                "import spans, workloads\n"
+                "print('yaml' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 class TestIngest:
@@ -331,21 +348,25 @@ def _out_files(**texts):
     return corrupt
 
 
-def _overflowing_return(path_of, low="1e-10", high="1e300"):
-    """Closes of ``low`` and then ``high`` for AAA on lines 4 and 5 of the
-    file ``path_of(root)``: by default their ratio overflows a float."""
+def _overflowing_return(path_of, low="1e-10", high="1e300", line=4):
+    """Closes of ``low`` and then ``high`` for AAA on lines ``line`` and
+    ``line + 1`` of the file ``path_of(root)``: by default their ratio
+    overflows a float."""
     def corrupt(root):
         path = path_of(root)
-        _set_field(path, 4, 1, low)
-        _set_field(path, 5, 1, high)
+        _set_field(path, line, 1, low)
+        _set_field(path, line + 1, 1, high)
     return corrupt
 
 
-def _huge_return(root):
-    """Closes of 1e-100 and then 1e100 for AAA, then ingest: the return of
-    1e200 is a float, but its square is not."""
-    _overflowing_return(lambda root: root / "data" / "AAA.csv", "1e-100", "1e100")(root)
-    _ingested(root)
+def _huge_return(line=4):
+    """Closes of 1e-100 and then 1e100 for AAA from line ``line`` of its
+    price file on, then ingest: the return of 1e200 is a float, but its
+    square is not."""
+    def corrupt(root):
+        _overflowing_return(lambda root: root / "data" / "AAA.csv", "1e-100", "1e100", line)(root)
+        _ingested(root)
+    return corrupt
 
 
 def _flat_prices(root):
@@ -503,8 +524,15 @@ BAD_INPUTS = {
         "analyze", _overflowing_return(_ingested),
         "panel.csv:5: AAA: the return from 2015-01-03 to 2015-01-04 overflows a float"),
     "return whose square overflows a float": (
-        "frontier", _huge_return,
+        "frontier", _huge_return(),
         "panel.csv: train split: the returns give a non-finite mean or covariance"),
+    # the test span is rows 80-99, each day's trailing window the 50 returns before it
+    "return whose square overflows a trailing covariance": (
+        "backtest", _huge_return(70), "panel.csv: the returns give a non-finite mean or covariance"),
+    "return whose square overflows a trailing covariance in the test span": (
+        "backtest", _huge_return(85), "panel.csv: the returns give a non-finite mean or covariance"),
+    "last return, which only a metric reads, overflowing it": (
+        "backtest", _huge_return(100), "panel.csv: Buy and Hold: a metric overflows"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
     "misspelled replicate_seeds": (

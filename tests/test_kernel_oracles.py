@@ -1,21 +1,22 @@
 """Exact oracles for the hot-path kernels: the logistic function, the LSTM
 forward/backward pass and its forward without history, the sliding
-windows, the Monte-Carlo portfolio variance, the selection that scores
-several forecasts on one set of draws, the selection in chunks and the
-reuse of one Monte-Carlo workspace across days.
+windows and their scaling as views, the Monte-Carlo portfolio variance, the
+selection that scores several forecasts on one set of draws, the selection
+in chunks and the reuse of one Monte-Carlo workspace across days.
 
 Each fast kernel keeps every GEMM, sum and product of its reference in the
 same order, so the comparisons here are bit for bit, not within a tolerance.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sentfolio import portfolio_opt
-from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid, make_windows
+from sentfolio import pipeline, portfolio_opt
+from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid, make_windows, train
 from sentfolio.errors import DegenerateMarketError
 from sentfolio.portfolio_opt import (
     CHUNK_ROWS,
@@ -25,6 +26,7 @@ from sentfolio.portfolio_opt import (
     frontier_samples,
     mean_variance_select,
 )
+from sentfolio.market_data import SplitSpec, split_chronological
 from sentfolio.synthetic import make_panel
 
 
@@ -58,13 +60,13 @@ class TestSigmoid:
     def test_matches_two_branch_formula(self):
         x = sigmoid_inputs()
         out = np.empty_like(x)
-        _sigmoid(x, out=out)
+        _sigmoid(x, out=out, e=np.empty_like(x))
         assert_bits(out, two_branch_sigmoid(x))
 
     def test_in_place(self):
         x = sigmoid_inputs().reshape(-1, 4)
         expected = two_branch_sigmoid(x)
-        _sigmoid(x, out=x)
+        _sigmoid(x, out=x, e=np.empty_like(x))
         assert_bits(x, expected)
 
     def test_nan_maps_to_nan_without_warning(self):
@@ -72,7 +74,7 @@ class TestSigmoid:
         out = np.empty_like(x)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _sigmoid(x, out=out)
+            _sigmoid(x, out=out, e=np.empty_like(x))
         assert np.isnan(out[[0, 1, 3]]).all()
         assert_bits(out[[2, 4]], two_branch_sigmoid(x[[2, 4]]))
 
@@ -193,6 +195,84 @@ def test_windows_are_a_read_only_view_of_stacked_rows(window):
     X, _ = make_windows(panel, window)
     assert_bits(X, np.stack([feats[k : k + window] for k in range(len(feats) - window)]))
     assert not X.flags.writeable and np.shares_memory(X, panel.values)
+
+
+def owner(a):
+    """The array that holds the memory ``a`` views."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_forward_on_a_view_matches_forward_on_a_copy(num_layers):
+    """Windows viewed on one matrix are scaled as that matrix, once, and
+    forecast bit for bit as their stacked copy; without history the top
+    layer keeps one rolling row, and gives what full history gives."""
+    panel = make_panel(seed=num_layers, n_days=600)
+    for batch in (1, 17, 32, 194, 554):
+        model = LstmModel(LstmConfig(hidden_size=13, num_layers=num_layers, seed=batch), 5)
+        model.fit_scaler(panel.feature_matrix())
+        X, _ = make_windows(panel.slice(0, batch + 6))
+        copy = np.ascontiguousarray(X)
+        scaled, scaled_copy = model.scale_inputs(X), model.scale_inputs(copy)
+        assert_bits(scaled, scaled_copy)
+        if batch > 1:  # B = 1 has no second window to share rows with
+            assert not scaled.flags.writeable and not np.shares_memory(scaled, X)
+            assert owner(scaled).shape == (batch + 5, 30)  # each scaled row once
+        assert_bits(model.forward(X), model.forward(copy))
+        y, _ = model._forward_scaled(scaled, history=False)
+        y_train, _ = model._forward_scaled(scaled_copy)
+        assert_bits(y, y_train)
+
+
+def test_windows_of_any_layout_are_scaled_entry_by_entry():
+    """Windows whose step and window strides are equal share rows and are
+    scaled as one matrix; any other batch is scaled as it is.  Either way
+    each entry is (x - min) / span."""
+    rng = np.random.default_rng(8)
+    model = LstmModel(LstmConfig(hidden_size=4, num_layers=1), 5)
+    model.fit_scaler(rng.uniform(size=(40, 30)))
+    raw = rng.uniform(size=(40, 6, 30))
+    matrix = rng.uniform(size=(45, 30))
+    shared = np.lib.stride_tricks.sliding_window_view(matrix[::-1], 6, axis=0).transpose(0, 2, 1)
+    for X in (raw, raw[::2], raw[:, ::-1], raw.transpose(1, 0, 2), shared,
+              np.broadcast_to(matrix[0], (40, 6, 30))):
+        assert_bits(model.scale_inputs(X), (X - model.scaler.min_) / model.scaler.span_)
+
+
+@pytest.mark.parametrize("num_layers", [1, 3])
+def test_training_on_the_view_matches_training_on_a_copy(num_layers):
+    panel = make_panel(seed=5, n_days=300)
+    tr, va, _ = split_chronological(panel, SplitSpec())
+    config = LstmConfig(hidden_size=8, num_layers=num_layers, epochs=3, seed=num_layers)
+    runs = []
+    for as_copy in (False, True):
+        model = LstmModel(config, 5)
+        model.fit_scaler(tr.feature_matrix())
+        windows = [make_windows(split) for split in (tr, va)]
+        if as_copy:
+            windows = [(np.ascontiguousarray(X), Y) for X, Y in windows]
+        runs.append((train(model, *windows), model.theta))
+    (report, theta), (report_copy, theta_copy) = runs
+    assert_bits(theta, theta_copy)
+    assert report == report_copy
+
+
+def test_training_both_variants_of_an_allocate_sized_panel_stays_small():
+    """2000 days of 5 assets, a 4-unit LSTM: a copy of the scaled train
+    windows alone is 1 400 x 6 x 30 x 8 B = 2 MB (3.8 MiB in all before
+    they became a view)."""
+    panel = make_panel(seed=11, n_days=2000)
+    config = LstmConfig(hidden_size=4, num_layers=1, learning_rate=0.01, epochs=1, seed=11)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        pipeline.train_variants(panel, SplitSpec(), config)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 # -- Monte-Carlo portfolio variance -----------------------------------------
