@@ -51,8 +51,8 @@ from .market_data import (
 from .portfolio_opt import (
     DEFAULT_COV_WINDOW,
     DEFAULT_SAMPLE_COUNT,
+    MonteCarloWorkspace,
     estimate_moments,
-    frontier_samples,
     mean_variance_select,
 )
 from .stats import granger, paired_t_test, pearson
@@ -258,19 +258,22 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
 
 
 def _check_returns(panel: AlignedPanel, where=lambda t: "") -> None:
-    """Refuse a panel in which an asset's close over its close on the date
-    before overflows a float, naming the asset and both dates after
-    ``where(t)`` for the later row t: every command that takes returns
-    would read inf there."""
+    """Refuse a panel in which an asset's return from the date before, or
+    its square, overflows a float, naming the asset and both dates after
+    ``where(t)`` for the later row t: every command that takes returns or
+    their squares would read inf there."""
     prices = panel.price_matrix()
     with np.errstate(over="ignore"):
-        overflows = np.isinf(prices[1:] / prices[:-1])
+        returns = prices[1:] / prices[:-1] - 1.0
+        overflows = np.isinf(returns * returns)
     if overflows.any():
         t, a = np.argwhere(overflows)[0].tolist()
         before, after = prices[t:t + 2, a].tolist()
+        squared = "" if math.isinf(returns[t, a]) else " when squared"
         raise ValidationError(
             f"{where(t + 1)}{panel.assets[a]}: the return from {panel.dates[t]} to "
-            f"{panel.dates[t + 1]} overflows a float (close {before!r}, then {after!r})")
+            f"{panel.dates[t + 1]} overflows a float{squared} "
+            f"(close {before!r}, then {after!r})")
 
 
 def build_panel(cfg: RunConfig) -> AlignedPanel:
@@ -556,12 +559,13 @@ def cmd_frontier(cfg: RunConfig) -> int:
         moments = estimate_moments(prices[1:] / prices[:-1] - 1.0)
     except ValidationError as exc:
         raise ValidationError(f"{_panel_path(cfg)}: train split: {exc}") from exc
-    _, vol, rows = frontier_samples(moments, cfg.mc_count, cfg.mc_seed)
-    ((exp_ret, sharpe),) = rows
+    # a workspace of every sample: one chunk, whose scores stay in it
+    ws = MonteCarloWorkspace(cfg.mc_count, len(panel.assets))
     try:
-        (best,) = mean_variance_select(moments, cfg.mc_count, cfg.mc_seed)
+        (best,) = mean_variance_select(moments, cfg.mc_count, cfg.mc_seed, ws)
     except DegenerateMarketError as exc:
         raise ValidationError(f"{exc}: the train split's returns never vary") from exc
+    exp_ret, vol, sharpe = ws.term, ws.variance, ws.total
     path = cfg.out_dir / "frontier.csv"
     _write_csv(path, cfg, ["exp_return", "volatility", "sharpe"],
                [[repr(float(r)), repr(float(v)), repr(float(s))]

@@ -1,5 +1,11 @@
 """End-to-end orchestration: panels in, trained models, strategy curves and
-metric tables out.  Both the CLI and the acceptance suite drive this module."""
+metric tables out.  Both the CLI and the acceptance suite drive this module.
+
+The backtest is one frame.  ``run_pipeline`` computes the test span's prices,
+gross returns and dates once, and every strategy runs over them: the
+benchmarks of ``BENCHMARKS``, each a function of the gross returns, and the
+two LSTM variants, whose mean-variance weights are picked from each day's
+forecast.  ``ALL_STRATEGIES`` is the table's order of them."""
 
 from __future__ import annotations
 
@@ -15,7 +21,7 @@ from .backtest import (
     compare_strategies,
     run_backtest,
 )
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 from .forecast_lstm import LstmConfig, LstmModel, TrainReport, make_windows, predict_series, train
 from .market_data import (
     NEUTRAL_SENTIMENT, SENTIMENT_INDEX, AlignedPanel, SplitSpec, split_chronological,
@@ -39,7 +45,13 @@ STRATEGY_LSTM_SENTIMENT = "LSTM Sentiment"
 # The two forecasters the paper compares: LSTM reads the panel with its
 # sentiment neutralized, LSTM Sentiment reads it as it is.
 LSTM_VARIANTS = (STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT)
-ALL_STRATEGIES = (STRATEGY_BUY_HOLD, STRATEGY_BEST_STOCK, STRATEGY_REBALANCING, *LSTM_VARIANTS)
+# The benchmark strategies, each a function of the test span's gross returns.
+BENCHMARKS = {
+    STRATEGY_BUY_HOLD: bah_weights,
+    STRATEGY_BEST_STOCK: best_stock_weights,
+    STRATEGY_REBALANCING: rebalancing_weights,
+}
+ALL_STRATEGIES = (*BENCHMARKS, *LSTM_VARIANTS)
 
 
 @dataclass
@@ -88,53 +100,37 @@ def train_variants(
     return trained
 
 
-def predict_test_segment(
-    model: LstmModel, panel: AlignedPanel, test_start: int
-) -> np.ndarray:
-    """Walk-forward predictions for every test row, using the last `window`
-    pre-test rows as context so the first test day is covered."""
-    w = model.config.window
-    if test_start < w:
-        raise InsufficientDataError(f"need {w} rows of context before the test split")
-    context = panel.slice(test_start - w, panel.n_rows)
-    _, preds = predict_series(model, context)
-    return preds  # row k predicts the price on test row k
-
-
 def _predictive_curves(
-    eval_panel: AlignedPanel,
+    prices: np.ndarray,
+    gross: np.ndarray,
+    dates: list,
     trained: dict[str, tuple[LstmModel, TrainReport, AlignedPanel]],
-    test_start: int,
+    t0: int,
     mc_count: int,
     mc_seed: int,
     cov_window: int,
     initial_capital: float,
 ) -> dict[str, WealthCurve]:
-    """One wealth curve per trained LSTM variant (see train_variants), each
-    forecasting from its own panel up to the last row of ``eval_panel``.  The
-    variants share prices, so the returns, last closes and trailing windows
-    are built once, and every variant's daily selection runs on the same
-    Monte-Carlo draws."""
-    prices_full = eval_panel.price_matrix()
-    simple_full = prices_full[1:] / prices_full[:-1] - 1.0
-    test_prices = prices_full[test_start:]
-    m = test_prices.shape[0]
-    gross = test_prices[1:] / test_prices[:-1]
-    # decision at end of test row t (global g) targets the price on row t+1
+    """One wealth curve per trained LSTM variant (see train_variants) over the
+    test span: rows ``t0`` to the last row of ``prices``, whose ``gross``
+    returns and ``dates`` run_pipeline computed.  Each variant forecasts from
+    its own panel; the variants share prices, so the last closes and trailing
+    windows are built once, and every variant's daily selection runs on the
+    same Monte-Carlo draws."""
+    t1 = prices.shape[0]
+    simple = prices[1:] / prices[:-1] - 1.0
+    # Row k of a forecast predicts test row k from the `window` rows before
+    # it (train_forecaster leaves t0 > window); the decision at the end of
+    # test row t targets row t + 1, so the first row is not used.
     predicted = np.stack([
-        predict_test_segment(model, panel.slice(0, eval_panel.n_rows), test_start)[1:]
-        for model, _, panel in trained.values()
+        predict_series(model, variant.slice(t0 - model.config.window, t1))[1][1:]
+        for model, _, variant in trained.values()
     ])
-    last_closes = test_prices[:-1]
-    trailing = []
-    for t in range(m - 1):
-        g = test_start + t  # returns through day g end at simple_full[g-1]
-        lo = max(0, g - cov_window)
-        trailing.append(simple_full[lo:g])
+    # the trailing returns of global row g end at simple[g - 1]
+    trailing = [simple[max(0, g - cov_window):g] for g in range(t0, t1 - 1)]
     weights = predictive_weights(
-        predicted, last_closes, trailing, count=mc_count, seed=mc_seed
+        predicted, prices[t0:-1], trailing, count=mc_count, seed=mc_seed
     )
-    dates = eval_panel.dates[test_start:]
     return {
         name: run_backtest(w, gross, dates, initial_capital)
         for name, w in zip(trained, weights)
@@ -162,7 +158,6 @@ def run_pipeline(
     """
     split = split or SplitSpec()
     lstm_config = lstm_config or LstmConfig()
-    curves: dict[str, WealthCurve] = {}
 
     train_panel, val_panel, _ = split_chronological(panel, split)
     t0 = train_panel.n_rows + val_panel.n_rows
@@ -175,31 +170,19 @@ def run_pipeline(
                 f"down-market window {d_from}..{d_to} has fewer than 2 test rows"
             )
         t0, t1 = idx[0], idx[-1] + 1
-    eval_panel = panel.slice(0, t1)
-    test_panel = panel.slice(t0, t1)
-    test_prices = test_panel.price_matrix()
-    gross = test_prices[1:] / test_prices[:-1]
-    dates = test_panel.dates
-    n_assets = len(panel.assets)
-    n_periods = gross.shape[0]
-
-    if STRATEGY_BUY_HOLD in strategies:
-        curves[STRATEGY_BUY_HOLD] = run_backtest(
-            bah_weights(gross), gross, dates, initial_capital
-        )
-    if STRATEGY_BEST_STOCK in strategies:
-        curves[STRATEGY_BEST_STOCK] = run_backtest(
-            best_stock_weights(gross), gross, dates, initial_capital
-        )
-    if STRATEGY_REBALANCING in strategies:
-        curves[STRATEGY_REBALANCING] = run_backtest(
-            rebalancing_weights(n_assets, n_periods), gross, dates, initial_capital
-        )
+    prices = panel.price_matrix()[:t1]
+    gross = prices[t0 + 1:] / prices[t0:-1]
+    dates = panel.dates[t0:t1]
+    curves = {
+        name: run_backtest(weights(gross), gross, dates, initial_capital)
+        for name, weights in BENCHMARKS.items() if name in strategies
+    }
     trained = train_variants(
         panel, split, lstm_config, tuple(n for n in LSTM_VARIANTS if n in strategies))
     if trained:
         curves.update(_predictive_curves(
-            eval_panel, trained, t0, mc_count, mc_seed, cov_window, initial_capital
+            prices, gross, dates, trained, t0, mc_count, mc_seed, cov_window,
+            initial_capital,
         ))
 
     reports, ttest = compare_strategies(

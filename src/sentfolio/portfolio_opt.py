@@ -13,16 +13,17 @@ forecasts.  Each row is scored with its own GEMV, ``W @ mu_v``: stacking the
 rows into one GEMM (``W @ mus.T``) changes the bits of the returns, and a
 row's pick would then depend on which other rows came with it.
 
-A selection draws and scores its samples in chunks of ``CHUNK_ROWS`` rows,
+A selection draws and scores its samples in chunks of its workspace's rows,
 all from one Generator, so the draws are the ones a single (count, n) array
-would get.  A chunk's arrays are the draws, their transpose and three
-chunk-long buffers: 16 384 x (2 * 5 + 3) x 8 B = 1.7 MB at 5 assets, which
-fits in a 2 MB L2 cache, where one 50 000-row workspace took 5.2 MB and its
-scores 0.8 MB more.  Each row's scores go into two of the chunk's buffers
-that are free once the variances are summed.  Each chunk goes through
-``frontier_samples``, and the pick is the first maximum over all chunks, so
-it is ``np.argmax`` over all samples: the first maximal Sharpe ratio, or the
-first NaN.
+would get.  Its own workspace has ``min(count, CHUNK_ROWS)`` rows: 16 384 x
+(2 * 5 + 3) x 8 B = 1.7 MB at 5 assets, which fits in a 2 MB L2 cache, where
+one 50 000-row workspace takes 5.2 MB.  A caller that wants every sample's
+scores, as ``cli frontier`` does for its cloud, passes one of ``count`` rows.
+Each chunk goes through ``frontier_samples``, the one scoring path: it works
+in the given workspace or its own, and each row's scores go into two buffers
+that are free once the variances are summed.  The pick is the first maximum
+over all chunks, so it is ``np.argmax`` over all samples: the first maximal
+Sharpe ratio, or the first NaN.
 
 One workspace serves every day of a backtest.  When each day allocates its
 arrays afresh, glibc hands them back to the OS and the next day faults them
@@ -46,7 +47,7 @@ WEIGHT_TOL = 1e-9
 VOL_FLOOR = 1e-12
 DEFAULT_SAMPLE_COUNT = 50_000
 DEFAULT_COV_WINDOW = 50
-CHUNK_ROWS = 16_384  # rows of one selection chunk: see the module docstring
+CHUNK_ROWS = 16_384  # rows of a selection's own workspace: see the module docstring
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,11 @@ class MonteCarloWorkspace:
                 self.variance[:count], self.term[:count], self.flat[:count])
 
 
-def sample_simplex(n_assets: int, count: int, seed: int) -> np.ndarray:
-    """(count, n_assets) weights uniform on the simplex: normalized
-    i.i.d. unit-exponential draws. Deterministic per seed."""
-    ws = MonteCarloWorkspace(count, n_assets)
-    _draw_simplex(ws.W, ws.cols, ws.total, np.random.default_rng(seed))
-    return ws.W
-
-
 def _draw_simplex(W: np.ndarray, cols: np.ndarray, total: np.ndarray,
                   rng: np.random.Generator) -> None:
-    """Fill ``W`` with the next rows of ``sample_simplex``'s draws from
-    ``rng`` and ``cols`` with their transpose; ``total`` is a work buffer."""
+    """Fill ``W`` with the next rows of weights uniform on the simplex drawn
+    from ``rng`` (i.i.d. unit-exponential draws, each row normalized by its
+    sum) and ``cols`` with their transpose; ``total`` is a work buffer."""
     rng.standard_exponential(out=W)
     np.copyto(cols, W.T)
     # The bits of W.sum(axis=1): numpy adds rows shorter than 8 left to right,
@@ -214,11 +208,11 @@ def frontier_samples(
     for.  A Generator as ``seed`` is drawn on from where it stands, so
     consecutive calls continue one stream.
 
-    With a ``workspace`` (of ``count`` rows or more) the weights,
-    volatilities and scores live in its first ``count`` rows: each row's
-    scores hold until the next row is scored, the rest until the
-    workspace's next use.  Without one they are fresh arrays, and so is
-    each row's pair.
+    The weights, volatilities and scores live in the first ``count`` rows
+    of ``workspace`` (of ``count`` rows or more), or of a workspace of
+    ``count`` rows built for this call when none is given: each row's
+    scores, in its ``term`` and ``total``, hold until the next row is
+    scored, the rest until the workspace's next use.
     """
     n = m.mu.shape[-1]
     ws = MonteCarloWorkspace(count, n) if workspace is None else workspace
@@ -237,17 +231,15 @@ def frontier_samples(
             variance += term
     vol = np.sqrt(np.maximum(variance, 0.0, out=variance), out=variance)
     np.less(vol, VOL_FLOOR, out=flat)
-    scores = None if workspace is None else (term, total)
-    return W, vol, _scored_rows(W, vol, flat, np.atleast_2d(m.mu), scores)
+    return W, vol, _scored_rows(W, vol, flat, np.atleast_2d(m.mu), term, total)
 
 
-def _scored_rows(W, vol, flat, mus, scores):
-    """(exp_return, sharpe) per row of ``mus``, written into the pair of
-    buffers ``scores``, or into a fresh pair per row when it is None."""
+def _scored_rows(W, vol, flat, mus, exp_ret, sharpe):
+    """(exp_return, sharpe) per row of ``mus``, each written into the
+    buffers ``exp_ret`` and ``sharpe``."""
     any_flat = flat.any()
     divisor = np.maximum(vol, VOL_FLOOR) if any_flat else vol
     for mu in mus:
-        exp_ret, sharpe = scores or (np.empty(len(W)), np.empty(len(W)))
         np.matmul(W, mu, out=exp_ret)  # one GEMV per row: see the module docstring
         np.divide(exp_ret, divisor, out=sharpe)
         if any_flat:
@@ -265,18 +257,20 @@ def mean_variance_select(
     expected-return row of ``m``; ties break to the lowest sample index, and
     a NaN Sharpe ratio is picked first, as ``np.argmax`` picks.
 
-    Every row is scored on the same samples, drawn chunk by chunk in
-    ``workspace`` (of ``min(count, CHUNK_ROWS)`` rows or more) when one is
-    given.  Raises DegenerateMarketError, for all rows at once, when every
-    sample has zero volatility.
+    Every row is scored on the same samples, drawn in chunks of the rows of
+    ``workspace``, or of its own of ``min(count, CHUNK_ROWS)`` rows.  With
+    one of ``count`` rows there is one chunk, whose scores stay in it (see
+    ``frontier_samples``).  Raises DegenerateMarketError, for all rows at
+    once, when every sample has zero volatility.
     """
     n = m.mu.shape[-1]
     ws = MonteCarloWorkspace(min(count, CHUNK_ROWS), n) if workspace is None else workspace
+    chunk = len(ws.W)
     rng = np.random.default_rng(seed)
     best = [None] * len(np.atleast_2d(m.mu))  # per row: (sharpe, exp_return, vol, weights)
     all_flat = True
-    for lo in range(0, count, CHUNK_ROWS):
-        rows = min(CHUNK_ROWS, count - lo)
+    for lo in range(0, count, chunk):
+        rows = min(chunk, count - lo)
         W, vol, scored = frontier_samples(m, rows, rng, ws)
         all_flat = all_flat and bool(ws.flat[:rows].all())
         for v, (exp_ret, sharpe) in enumerate(scored):
@@ -306,10 +300,10 @@ def bah_weights(gross_returns: np.ndarray) -> list[Weights]:
     return out
 
 
-def rebalancing_weights(n_assets: int, n_periods: int) -> list[Weights]:
+def rebalancing_weights(gross_returns: np.ndarray) -> list[Weights]:
     """Equal weights restored every period."""
-    eq = Weights.equal(n_assets)
-    return [eq] * n_periods
+    T, n = gross_returns.shape
+    return [Weights.equal(n)] * T
 
 
 def best_stock_weights(gross_returns: np.ndarray) -> list[Weights]:

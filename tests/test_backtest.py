@@ -34,7 +34,7 @@ def curve_from_values(values):
 class TestRunBacktest:
     def test_flat_market_flat_wealth(self):
         gross = np.ones((5, 3))
-        curve = run_backtest(rebalancing_weights(3, 5), gross, dates(6), 10_000)
+        curve = run_backtest(rebalancing_weights(gross), gross, dates(6), 10_000)
         assert curve.values == [10_000.0] * 6
 
     def test_single_asset_compounding(self):
@@ -189,7 +189,7 @@ class TestReports:
         gross = 1.0 + 0.01 * rng.standard_normal((30, 3))
         ds = dates(31)
         bh = run_backtest(bah_weights(gross), gross, ds)
-        rb = run_backtest(rebalancing_weights(3, 30), gross, ds)
+        rb = run_backtest(rebalancing_weights(gross), gross, ds)
         return {"BuyHold": bh, "Rebalancing": rb}
 
     def test_bh_reference_row(self):

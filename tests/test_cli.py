@@ -18,11 +18,11 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 from conftest import skip_unless_golden_build
-from sentfolio import sentiment
+from sentfolio import portfolio_opt, sentiment
 from sentfolio.cli import (
     KEYS, REPORT_HEADER, _weekly_stats_and_returns, load_config, main, read_panel,
 )
-from sentfolio.market_data import AlignedPanel
+from sentfolio.market_data import AlignedPanel, split_chronological
 from sentfolio.synthetic import make_panel, write_market_csv
 
 LEXICON = "good\t0.5\ngreat\t0.8\nbad\t-0.5\nawful\t-0.8\n"
@@ -239,6 +239,22 @@ class TestFrontier:
         assert len(lines) == 2 + 300  # monte_carlo.count
         assert artifact(workspace, "frontier.svg").read_text().startswith("<svg")
 
+    def test_one_draw_gives_the_cloud_and_the_pick(self, workspace, monkeypatch):
+        draws = []
+        draw = portfolio_opt._draw_simplex
+        monkeypatch.setattr(portfolio_opt, "_draw_simplex",
+                            lambda W, *rest: draws.append(len(W)) or draw(W, *rest))
+        assert run(workspace, "frontier") == 0
+        assert draws == [300]
+        monkeypatch.undo()
+        # the cloud is frontier_samples' on the train split's returns
+        cfg = load_config(workspace / "config.yaml")
+        prices = split_chronological(read_panel(cfg), cfg.split)[0].price_matrix()
+        moments = portfolio_opt.estimate_moments(prices[1:] / prices[:-1] - 1.0)
+        _, vol, ((exp_ret, sharpe),) = portfolio_opt.frontier_samples(moments, 300, cfg.mc_seed)
+        assert artifact(workspace, "frontier.csv").read_text().splitlines()[2:] == [
+            ",".join(map(repr, row)) for row in zip(exp_ret.tolist(), vol.tolist(), sharpe.tolist())]
+
 
 class TestAudit:
     def test_confusion_matrix(self, workspace):
@@ -359,12 +375,20 @@ def _overflowing_return(path_of, low="1e-10", high="1e300", line=4):
     return corrupt
 
 
-def _huge_return(line=4):
-    """Closes of 1e-100 and then 1e100 for AAA from line ``line`` of its
-    price file on, then ingest: the return of 1e200 is a float, but its
-    square is not."""
+def _huge_return(path_of):
+    """Closes of 1e-100 and then 1e100 for AAA on lines 70 and 71 of the file
+    ``path_of(root)``: the return of 1e200 is a float, but its square is
+    not."""
+    return _overflowing_return(path_of, "1e-100", "1e100", 70)
+
+
+def _two_huge_returns(line):
+    """Closes of 1e-150, 1.3e4 and 1.69e158 for AAA from line ``line`` of its
+    price file on, then ingest: each of the two returns of about 1.3e154
+    squares to a float, but the sum of their squares does not."""
     def corrupt(root):
-        _overflowing_return(lambda root: root / "data" / "AAA.csv", "1e-100", "1e100", line)(root)
+        for offset, close in enumerate(("1e-150", "1.3e4", "1.69e158")):
+            _set_field(root / "data" / "AAA.csv", line + offset, 1, close)
         _ingested(root)
     return corrupt
 
@@ -524,15 +548,25 @@ BAD_INPUTS = {
         "analyze", _overflowing_return(_ingested),
         "panel.csv:5: AAA: the return from 2015-01-03 to 2015-01-04 overflows a float"),
     "return whose square overflows a float": (
-        "frontier", _huge_return(),
+        "ingest", _huge_return(lambda root: root / "data" / "AAA.csv"),
+        "AAA: the return from 2015-03-11 to 2015-03-12 overflows a float when squared "
+        "(close 1e-100, then 1e+100)"),
+    **{f"panel return whose square overflows a float, read by {command}": (
+        command, _huge_return(_ingested),
+        "panel.csv:71: AAA: the return from 2015-03-10 to 2015-03-11 overflows a float "
+        "when squared") for command in ("analyze", "backtest", "frontier")},
+    "returns whose squares overflow the train split's covariance": (
+        "frontier", _two_huge_returns(4),
         "panel.csv: train split: the returns give a non-finite mean or covariance"),
     # the test span is rows 80-99, each day's trailing window the 50 returns before it
-    "return whose square overflows a trailing covariance": (
-        "backtest", _huge_return(70), "panel.csv: the returns give a non-finite mean or covariance"),
-    "return whose square overflows a trailing covariance in the test span": (
-        "backtest", _huge_return(85), "panel.csv: the returns give a non-finite mean or covariance"),
-    "last return, which only a metric reads, overflowing it": (
-        "backtest", _huge_return(100), "panel.csv: Buy and Hold: a metric overflows"),
+    "return whose square overflows a trailing covariance when added to another's": (
+        "backtest", _two_huge_returns(70),
+        "panel.csv: the returns give a non-finite mean or covariance"),
+    "return whose square overflows a trailing covariance in the test span when added to another's": (
+        "backtest", _two_huge_returns(85),
+        "panel.csv: the returns give a non-finite mean or covariance"),
+    "last return, which only a metric reads, overflowing it with the return before": (
+        "backtest", _two_huge_returns(99), "panel.csv: Buy and Hold: a metric overflows"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
     "misspelled replicate_seeds": (

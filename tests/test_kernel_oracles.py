@@ -327,11 +327,13 @@ def test_frontier_rows_are_single_gemvs():
     rng = np.random.default_rng(5)
     mus = rng.normal(0.001, 0.01, (3, 5))
     W, vol, rows = frontier_samples(Moments(mu=mus, cov=random_cov(rng, 5)), 50_000, seed=3)
-    scored = list(rows)
-    assert len(scored) == 3
-    for mu, (exp_ret, sharpe) in zip(mus, scored):
+    scored = 0
+    # each row's scores hold until the next row is scored
+    for mu, (exp_ret, sharpe) in zip(mus, rows):
         assert_bits(exp_ret, W @ mu)
         assert_bits(sharpe, np.where(vol < VOL_FLOOR, 0.0, (W @ mu) / np.maximum(vol, VOL_FLOOR)))
+        scored += 1
+    assert scored == 3
 
 
 # -- one Monte-Carlo workspace across days ----------------------------------
@@ -512,6 +514,35 @@ def test_chunked_selection_on_a_near_flat_covariance(monkeypatch):
     per_chunk = [flat[lo : lo + CHUNK_ROWS].any() for lo in range(0, 50_000, CHUNK_ROWS)]
     assert 0 < flat.sum() < flat.size and 0 < sum(per_chunk) < len(per_chunk)
     assert_chunked_matches_one_shot(monkeypatch, m, 50_000, seed=4)
+
+
+def test_workspace_of_every_sample_is_one_chunk(monkeypatch):
+    """Given a workspace of all 50 000 rows, a selection draws and scores
+    them in one frontier_samples call, which leaves the last row's scores of
+    every sample in the workspace, and picks bit for bit what the default
+    chunks pick."""
+    rng = np.random.default_rng(6)
+    m = Moments(mu=rng.normal(0.001, 0.01, (2, 5)), cov=random_cov(rng, 5))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return frontier_samples(*args)
+
+    monkeypatch.setattr(portfolio_opt, "frontier_samples", counted)
+    ws = MonteCarloWorkspace(50_000, 5)
+    got = mean_variance_select(m, 50_000, seed=6, workspace=ws)
+    assert calls == [50_000]
+    W, vol, _, rows = one_shot_frontier(m, 50_000, seed=6)
+    for buffer, want in zip((ws.W, ws.variance, ws.term, ws.total), (W, vol, *rows[-1])):
+        assert_bits(buffer, want)
+    calls.clear()
+    want = mean_variance_select(m, 50_000, seed=6)
+    assert len(calls) == 4
+    for g, w in zip(got, want):
+        assert_bits(g.weights.as_array(), w.weights.as_array())
+        for field in ("exp_return", "volatility", "sharpe"):
+            assert_bits(getattr(g, field), getattr(w, field))
 
 
 @pytest.mark.parametrize("scores", [

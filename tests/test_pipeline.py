@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import sentfolio
 from sentfolio.backtest import DEFAULT_INITIAL_CAPITAL
-from sentfolio.errors import ConfigurationError, InsufficientDataError
+from sentfolio.errors import ConfigurationError
 from sentfolio.forecast_lstm import LstmConfig
 from sentfolio.market_data import (
     FEATURE_NAMES, NEUTRAL_SENTIMENT, PRICE_INDEX, AlignedPanel, SplitSpec, split_chronological,
@@ -21,7 +21,6 @@ from sentfolio.pipeline import (
     STRATEGY_LSTM,
     STRATEGY_LSTM_SENTIMENT,
     neutralize_sentiment,
-    predict_test_segment,
     replicates,
     run_pipeline,
     train_forecaster,
@@ -70,19 +69,6 @@ class TestNeutralizeSentiment:
         np.testing.assert_array_equal(panel.feature_matrix(), before)
 
 
-class TestTrainForecaster:
-    def test_prediction_covers_every_test_row(self, panel):
-        model, _ = train_forecaster(panel, SplitSpec(), FAST_LSTM)
-        tr, va, te = split_chronological(panel, SplitSpec())
-        preds = predict_test_segment(model, panel, tr.n_rows + va.n_rows)
-        assert preds.shape == (te.n_rows, len(panel.assets))
-
-    def test_insufficient_context(self, panel):
-        model, _ = train_forecaster(panel, SplitSpec(), FAST_LSTM)
-        with pytest.raises(InsufficientDataError):
-            predict_test_segment(model, panel, 3)
-
-
 class TestTrainVariants:
     def test_each_variant_reads_its_panel(self, panel):
         trained = train_variants(panel, SplitSpec(), FAST_LSTM)
@@ -127,6 +113,12 @@ class TestRunPipeline:
     def test_all_strategies_present(self, result):
         assert set(result.curves) == set(ALL_STRATEGIES)
         assert {r.strategy for r in result.reports} == set(ALL_STRATEGIES)
+
+    def test_strategies_keep_the_table_order(self, result):
+        assert ALL_STRATEGIES == (
+            "Buy and Hold", "Best Stock", "Rebalancing", "LSTM", "LSTM Sentiment")
+        assert tuple(result.curves) == ALL_STRATEGIES
+        assert tuple(r.strategy for r in result.reports) == ALL_STRATEGIES
 
     def test_benchmark_row_normalized(self, result):
         bh = next(r for r in result.reports if r.strategy == STRATEGY_BUY_HOLD)

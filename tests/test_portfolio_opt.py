@@ -15,6 +15,7 @@ from sentfolio.errors import (
 from sentfolio import portfolio_opt
 from sentfolio.portfolio_opt import (
     Moments,
+    MonteCarloWorkspace,
     Weights,
     bah_weights,
     best_stock_weights,
@@ -24,7 +25,6 @@ from sentfolio.portfolio_opt import (
     portfolio_stats,
     predictive_weights,
     rebalancing_weights,
-    sample_simplex,
 )
 
 
@@ -46,35 +46,46 @@ class TestWeights:
         np.testing.assert_array_equal(w.as_array(), [0.3, 0.7])
 
 
+def simplex_samples(n_assets, count, seed, workspace=None):
+    """The weights of ``frontier_samples``: ``count`` draws uniform on the
+    simplex of ``n_assets`` assets."""
+    m = Moments(mu=np.zeros(n_assets), cov=np.eye(n_assets))
+    return frontier_samples(m, count, seed, workspace)[0]
+
+
 class TestSampleSimplex:
     def test_rows_on_simplex(self):
-        W = sample_simplex(5, 1000, seed=0)
+        W = simplex_samples(5, 1000, seed=0)
         assert (W >= 0).all()
         np.testing.assert_allclose(W.sum(axis=1), 1.0, atol=1e-12)
 
     def test_single_asset(self):
-        np.testing.assert_array_equal(sample_simplex(1, 10, seed=3), np.ones((10, 1)))
+        np.testing.assert_array_equal(simplex_samples(1, 10, seed=3), np.ones((10, 1)))
 
     def test_deterministic(self):
         np.testing.assert_array_equal(
-            sample_simplex(4, 100, seed=9), sample_simplex(4, 100, seed=9)
+            simplex_samples(4, 100, seed=9), simplex_samples(4, 100, seed=9)
         )
 
     def test_two_asset_mean_half(self):
-        W = sample_simplex(2, 100_000, seed=1)
+        W = simplex_samples(2, 100_000, seed=1)
         assert W[:, 0].mean() == pytest.approx(0.5, abs=0.01)
 
     def test_prefix_extension(self):
         # doubling count extends the sample set under the same seed
-        small = sample_simplex(5, 500, seed=7)
-        big = sample_simplex(5, 1000, seed=7)
+        small = simplex_samples(5, 500, seed=7)
+        big = simplex_samples(5, 1000, seed=7)
         np.testing.assert_array_equal(big[:500], small)
 
     def test_bad_args(self):
         with pytest.raises(DimensionError):
-            sample_simplex(0, 10, seed=0)
+            MonteCarloWorkspace(10, 0)
         with pytest.raises(DimensionError):
-            sample_simplex(3, 0, seed=0)
+            simplex_samples(3, 0, seed=0)
+        with pytest.raises(DimensionError):  # a workspace of 4 assets, not 3
+            simplex_samples(3, 10, seed=0, workspace=MonteCarloWorkspace(10, 4))
+        with pytest.raises(DimensionError):  # a workspace of 9 rows, not 10
+            simplex_samples(3, 10, seed=0, workspace=MonteCarloWorkspace(9, 3))
 
 
 class TestMoments:
@@ -198,7 +209,7 @@ class TestBahWeights:
 
 class TestRebalancing:
     def test_always_equal(self):
-        ws = rebalancing_weights(4, 6)
+        ws = rebalancing_weights(np.ones((6, 4)))
         assert len(ws) == 6
         assert all(w == Weights.equal(4) for w in ws)
 
