@@ -258,21 +258,28 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
 
 
 def _check_returns(panel: AlignedPanel, where=lambda t: "") -> None:
-    """Refuse a panel in which an asset's return from the date before, or
-    its square, overflows a float, naming the asset and both dates after
-    ``where(t)`` for the later row t: every command that takes returns or
-    their squares would read inf there."""
+    """Refuse a panel in which an asset's return from the date before, its
+    square or the running sum of its squares overflows a float, naming the
+    asset and both dates after ``where(t)`` for the later row t: every
+    command that takes returns, their squares or sums of them (a covariance,
+    a regression) would read inf or nan there."""
     prices = panel.price_matrix()
     with np.errstate(over="ignore"):
         returns = prices[1:] / prices[:-1] - 1.0
-        overflows = np.isinf(returns * returns)
+        squares = returns * returns
+        overflows = np.isinf(np.cumsum(squares, axis=0))
     if overflows.any():
         t, a = np.argwhere(overflows)[0].tolist()
         before, after = prices[t:t + 2, a].tolist()
-        squared = "" if math.isinf(returns[t, a]) else " when squared"
+        if math.isinf(returns[t, a]):
+            how = ""
+        elif math.isinf(squares[t, a]):
+            how = " when squared"
+        else:
+            how = " when its square is added to those of the returns before it"
         raise ValidationError(
             f"{where(t + 1)}{panel.assets[a]}: the return from {panel.dates[t]} to "
-            f"{panel.dates[t + 1]} overflows a float{squared} "
+            f"{panel.dates[t + 1]} overflows a float{how} "
             f"(close {before!r}, then {after!r})")
 
 
@@ -461,6 +468,8 @@ def cmd_backtest(cfg: RunConfig, down_market: str | None = None) -> int:
     if capitals:
         _write_csv(rep_path, cfg, ["seed", "lstm_sentiment_final", "lstm_final"],
                    [[seed, *map(repr, pair)] for seed, pair in zip(cfg.replicate_seeds, capitals)])
+    print(f"equal weights on {result.equal_weight_days} of {len(dates) - 1} days "
+          "(no volatility to rank)")
     print(f"wrote {curves_path}")
     return 0
 

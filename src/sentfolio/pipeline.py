@@ -60,6 +60,7 @@ class PipelineResult:
     reports: list[PerfReport]
     ttest: TestResult | None
     train_reports: dict[str, TrainReport] = field(default_factory=dict)
+    equal_weight_days: int = 0  # days on which the LSTM variants fell back to equal weights
 
 
 def neutralize_sentiment(panel: AlignedPanel) -> AlignedPanel:
@@ -110,13 +111,14 @@ def _predictive_curves(
     mc_seed: int,
     cov_window: int,
     initial_capital: float,
-) -> dict[str, WealthCurve]:
+) -> tuple[dict[str, WealthCurve], int]:
     """One wealth curve per trained LSTM variant (see train_variants) over the
     test span: rows ``t0`` to the last row of ``prices``, whose ``gross``
-    returns and ``dates`` run_pipeline computed.  Each variant forecasts from
-    its own panel; the variants share prices, so the last closes and trailing
-    windows are built once, and every variant's daily selection runs on the
-    same Monte-Carlo draws."""
+    returns and ``dates`` run_pipeline computed, and the number of days that
+    fell back to equal weights.  Each variant forecasts from its own panel;
+    the variants share prices, so the last closes and trailing windows are
+    built once, and every variant's daily selection runs on the same
+    Monte-Carlo draws."""
     t1 = prices.shape[0]
     simple = prices[1:] / prices[:-1] - 1.0
     # Row k of a forecast predicts test row k from the `window` rows before
@@ -128,13 +130,13 @@ def _predictive_curves(
     ])
     # the trailing returns of global row g end at simple[g - 1]
     trailing = [simple[max(0, g - cov_window):g] for g in range(t0, t1 - 1)]
-    weights = predictive_weights(
+    weights, equal_days = predictive_weights(
         predicted, prices[t0:-1], trailing, count=mc_count, seed=mc_seed
     )
     return {
         name: run_backtest(w, gross, dates, initial_capital)
         for name, w in zip(trained, weights)
-    }
+    }, equal_days
 
 
 def run_pipeline(
@@ -179,11 +181,13 @@ def run_pipeline(
     }
     trained = train_variants(
         panel, split, lstm_config, tuple(n for n in LSTM_VARIANTS if n in strategies))
+    equal_days = 0
     if trained:
-        curves.update(_predictive_curves(
+        predictive, equal_days = _predictive_curves(
             prices, gross, dates, trained, t0, mc_count, mc_seed, cov_window,
             initial_capital,
-        ))
+        )
+        curves.update(predictive)
 
     reports, ttest = compare_strategies(
         curves, bh_name=STRATEGY_BUY_HOLD, replicate_capitals=replicate_capitals
@@ -191,6 +195,7 @@ def run_pipeline(
     return PipelineResult(
         curves=curves, reports=reports, ttest=ttest,
         train_reports={name: report for name, (_, report, _) in trained.items()},
+        equal_weight_days=equal_days,
     )
 
 

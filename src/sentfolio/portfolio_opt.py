@@ -15,15 +15,23 @@ row's pick would then depend on which other rows came with it.
 
 A selection draws and scores its samples in chunks of its workspace's rows,
 all from one Generator, so the draws are the ones a single (count, n) array
-would get.  Its own workspace has ``min(count, CHUNK_ROWS)`` rows: 16 384 x
-(2 * 5 + 3) x 8 B = 1.7 MB at 5 assets, which fits in a 2 MB L2 cache, where
-one 50 000-row workspace takes 5.2 MB.  A caller that wants every sample's
-scores, as ``cli frontier`` does for its cloud, passes one of ``count`` rows.
-Each chunk goes through ``frontier_samples``, the one scoring path: it works
-in the given workspace or its own, and each row's scores go into two buffers
-that are free once the variances are summed.  The pick is the first maximum
-over all chunks, so it is ``np.argmax`` over all samples: the first maximal
+would get.  Its own workspace has ``min(count, CHUNK_ROWS)`` rows: 8 192 x
+(2 * 5 + 3) x 8 B = 0.85 MB at 5 assets, where one 50 000-row workspace
+takes 5.2 MB.  A caller that wants every sample's scores, as ``cli
+frontier`` does for its cloud, passes one of ``count`` rows.  Each chunk
+goes through ``frontier_samples``, the one scoring path: it works in the
+given workspace or its own, and each row's scores go into two buffers that
+are free once the variances are summed.  The pick is the first maximum over
+all chunks, so it is ``np.argmax`` over all samples: the first maximal
 Sharpe ratio, or the first NaN.
+
+Chunked scoring gives every sample the bits of one draw of ``count`` rows,
+because the GEMV gives a row the bits of its place in a block of 8 rows.
+So in a selection's own workspace every chunk but the last is a multiple of
+8 rows (a split of 8 191 + 2 rows changes the returns at 8+ assets), and no
+chunk is a lone last row: numpy computes a one-row GEMV as a dot product,
+which rounds differently.  Where a full chunk would leave one row, it takes
+8 rows fewer and the last chunk 9.
 
 One workspace serves every day of a backtest.  When each day allocates its
 arrays afresh, glibc hands them back to the OS and the next day faults them
@@ -47,7 +55,7 @@ WEIGHT_TOL = 1e-9
 VOL_FLOOR = 1e-12
 DEFAULT_SAMPLE_COUNT = 50_000
 DEFAULT_COV_WINDOW = 50
-CHUNK_ROWS = 16_384  # rows of a selection's own workspace: see the module docstring
+CHUNK_ROWS = 8_192  # rows of a selection's own workspace: see the module docstring
 
 
 @dataclass(frozen=True)
@@ -154,8 +162,8 @@ def _draw_simplex(W: np.ndarray, cols: np.ndarray, total: np.ndarray,
             total += col
     else:
         W.sum(axis=1, out=total)
-    W /= total[:, None]
     cols /= total
+    np.copyto(W, cols.T)  # the same quotients: each entry is divided once
 
 
 def estimate_moments(returns: np.ndarray) -> Moments:
@@ -261,17 +269,24 @@ def mean_variance_select(
     ``workspace``, or of its own of ``min(count, CHUNK_ROWS)`` rows.  With
     one of ``count`` rows there is one chunk, whose scores stay in it (see
     ``frontier_samples``).  Raises DegenerateMarketError, for all rows at
-    once, when every sample has zero volatility.
+    once, when every sample has zero volatility; on a covariance of zeros
+    it raises before drawing, since every variance is then 0.
     """
+    if not m.cov.any():
+        raise DegenerateMarketError("all sampled portfolios have zero volatility")
     n = m.mu.shape[-1]
     ws = MonteCarloWorkspace(min(count, CHUNK_ROWS), n) if workspace is None else workspace
     chunk = len(ws.W)
     rng = np.random.default_rng(seed)
     best = [None] * len(np.atleast_2d(m.mu))  # per row: (sharpe, exp_return, vol, weights)
     all_flat = True
-    for lo in range(0, count, chunk):
+    lo = 0
+    while lo < count:
         rows = min(chunk, count - lo)
+        if count - lo - rows == 1 and rows > 8:
+            rows -= 8  # no lone last row: see the module docstring
         W, vol, scored = frontier_samples(m, rows, rng, ws)
+        lo += rows
         all_flat = all_flat and bool(ws.flat[:rows].all())
         for v, (exp_ret, sharpe) in enumerate(scored):
             i = int(np.argmax(sharpe))
@@ -326,7 +341,7 @@ def predictive_weights(
     trailing_returns: list[np.ndarray],
     count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = 0,
-) -> list[list[Weights]]:
+) -> tuple[list[list[Weights]], int]:
     """Daily mean-variance portfolios from predicted next-day returns, for V
     forecasts at once.
 
@@ -338,7 +353,8 @@ def predictive_weights(
     set of draws (common random numbers), so their weights differ only
     through their forecasts.  Each variant's row gets its own GEMV, so its
     pick is bit for bit the one it gets alone.  A degenerate day gives every
-    variant equal weights.  Returns V lists of T weights.
+    variant equal weights.  Returns V lists of T weights and the number of
+    degenerate days.
     """
     if predicted_prices.ndim != 3:
         raise DimensionError("predicted prices must be (variants, days, assets)")
@@ -347,6 +363,7 @@ def predictive_weights(
         raise DimensionError("predictive inputs misaligned")
     out: list[list[Weights]] = [[] for _ in range(V)]
     workspace = MonteCarloWorkspace(min(count, CHUNK_ROWS), n)  # see the module docstring
+    equal_days = 0
     for t in range(T):
         mu = predicted_prices[:, t] / last_closes[t] - 1.0
         m = Moments(mu=mu, cov=_sample_moments(trailing_returns[t])[1])
@@ -355,6 +372,7 @@ def predictive_weights(
                 m, count=count, seed=seed + t, workspace=workspace)]
         except DegenerateMarketError:
             picks = [Weights.equal(n)] * V
+            equal_days += 1
         for weights, w in zip(out, picks):
             weights.append(w)
-    return out
+    return out, equal_days

@@ -382,14 +382,14 @@ def _huge_return(path_of):
     return _overflowing_return(path_of, "1e-100", "1e100", 70)
 
 
-def _two_huge_returns(line):
-    """Closes of 1e-150, 1.3e4 and 1.69e158 for AAA from line ``line`` of its
-    price file on, then ingest: each of the two returns of about 1.3e154
+def _two_huge_returns(path_of, line):
+    """Closes of 1e-150, 1.3e4 and 1.69e158 for AAA from line ``line`` of the
+    file ``path_of(root)`` on: each of the two returns of about 1.3e154
     squares to a float, but the sum of their squares does not."""
     def corrupt(root):
+        path = path_of(root)
         for offset, close in enumerate(("1e-150", "1.3e4", "1.69e158")):
-            _set_field(root / "data" / "AAA.csv", line + offset, 1, close)
-        _ingested(root)
+            _set_field(path, line + offset, 1, close)
     return corrupt
 
 
@@ -555,18 +555,36 @@ BAD_INPUTS = {
         command, _huge_return(_ingested),
         "panel.csv:71: AAA: the return from 2015-03-10 to 2015-03-11 overflows a float "
         "when squared") for command in ("analyze", "backtest", "frontier")},
+    "returns whose squares overflow a float when summed": (
+        "ingest", _two_huge_returns(lambda root: root / "data" / "AAA.csv", 70),
+        "AAA: the return from 2015-03-12 to 2015-03-13 overflows a float when its square "
+        "is added to those of the returns before it (close 13000.0, then 1.69e+158)"),
+    # panel.csv line L holds row L - 3; the train split is rows 0-59, the
+    # test span rows 80-99, each test day's trailing window the 50 returns
+    # before it.  read_panel refuses each of these panels.
     "returns whose squares overflow the train split's covariance": (
-        "frontier", _two_huge_returns(4),
-        "panel.csv: train split: the returns give a non-finite mean or covariance"),
-    # the test span is rows 80-99, each day's trailing window the 50 returns before it
+        "frontier", _two_huge_returns(_ingested, 4),
+        "panel.csv:6: AAA: the return from 2015-01-04 to 2015-01-05 overflows a float "
+        "when its square is added to those of the returns before it"),
+    "panel returns whose squares overflow a float when summed, read by analyze": (
+        "analyze", _two_huge_returns(_ingested, 70),
+        "panel.csv:72: AAA: the return from 2015-03-11 to 2015-03-12 overflows a float "
+        "when its square is added"),
     "return whose square overflows a trailing covariance when added to another's": (
-        "backtest", _two_huge_returns(70),
-        "panel.csv: the returns give a non-finite mean or covariance"),
+        "backtest", _two_huge_returns(_ingested, 70),
+        "panel.csv:72: AAA: the return from 2015-03-11 to 2015-03-12 overflows a float "
+        "when its square is added"),
     "return whose square overflows a trailing covariance in the test span when added to another's": (
-        "backtest", _two_huge_returns(85),
-        "panel.csv: the returns give a non-finite mean or covariance"),
+        "backtest", _two_huge_returns(_ingested, 85),
+        "panel.csv:87: AAA: the return from 2015-03-26 to 2015-03-27 overflows a float "
+        "when its square is added"),
     "last return, which only a metric reads, overflowing it with the return before": (
-        "backtest", _two_huge_returns(99), "panel.csv: Buy and Hold: a metric overflows"),
+        "backtest", _two_huge_returns(_ingested, 100),
+        "panel.csv:102: AAA: the return from 2015-04-10 to 2015-04-11 overflows a float "
+        "when its square is added"),
+    "huge last return, whose square is a float but whose annualized return is not": (
+        "backtest", _overflowing_return(_ingested, "1e-50", "1e50", 101),
+        "panel.csv: Buy and Hold: a metric overflows"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
     "misspelled replicate_seeds": (
@@ -639,6 +657,23 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert expected in lines[0]
+
+
+def test_backtest_prints_its_equal_weight_days(tmp_path, capsys):
+    """With every close frozen from row 88 on and trailing windows of 5
+    returns, the test days from row 93 on (6 of 19) have no volatility to
+    rank: the LSTM variants hold equal weights there, and backtest says so."""
+    root = populate(tmp_path, THREE_ASSETS + "cov_window: 5\n")
+    for asset in ("AAA", "BBB", "CCC"):
+        path = root / "data" / f"{asset}.csv"
+        close = path.read_text().splitlines()[89].split(",")[1]
+        for line in range(91, 102):
+            _set_field(path, line, 1, close)
+    assert run(root, "ingest") == 0
+    capsys.readouterr()
+    assert run(root, "backtest") == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "equal weights on 6 of 19 days (no volatility to rank)")
 
 
 def test_three_asset_chain(tmp_path):

@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import skip_unless_golden_build
 from sentfolio import pipeline, portfolio_opt
 from sentfolio.forecast_lstm import LstmConfig, LstmModel, _sigmoid, make_windows, train
 from sentfolio.errors import DegenerateMarketError
@@ -25,6 +26,7 @@ from sentfolio.portfolio_opt import (
     MonteCarloWorkspace,
     frontier_samples,
     mean_variance_select,
+    predictive_weights,
 )
 from sentfolio.market_data import SplitSpec, split_chronological
 from sentfolio.synthetic import make_panel
@@ -428,9 +430,21 @@ def one_shot_select(m, count, seed):
         float(a[np.argmax(sharpe)]) for a in (exp_ret, vol, sharpe)) for exp_ret, sharpe in rows]
 
 
+def chunk_sizes(count):
+    """The chunks of a selection of ``count`` samples in its own workspace:
+    full ones, save that a full chunk which would leave one row takes 8
+    rows fewer, so that the last holds 9."""
+    full, tail = divmod(count, CHUNK_ROWS)
+    sizes = [CHUNK_ROWS] * full + [tail] * (tail > 0)
+    if full and tail == 1:
+        sizes[-2:] = [CHUNK_ROWS - 8, 9]
+    return sizes
+
+
 def chunked_select(monkeypatch, m, count, seed):
     """mean_variance_select's picks and every sample it scored, chunk by
-    chunk: (picks or None, W, vol, [(exp_ret, sharpe) per row])."""
+    chunk: (picks or None, W, vol, [(exp_ret, sharpe) per row]), and the
+    chunks' sizes."""
     chunks = []
 
     def recording(*args):
@@ -444,16 +458,15 @@ def chunked_select(monkeypatch, m, count, seed):
     except DegenerateMarketError:
         picks = None
     monkeypatch.undo()
-    assert [len(vol) for _, vol, _ in chunks] == [
-        min(CHUNK_ROWS, count - lo) for lo in range(0, count, CHUNK_ROWS)]
     rows = [tuple(np.concatenate(parts) for parts in zip(*row_chunks))
             for row_chunks in zip(*(c[2] for c in chunks))]
     return (picks, np.concatenate([c[0] for c in chunks]),
-            np.concatenate([c[1] for c in chunks]), rows)
+            np.concatenate([c[1] for c in chunks]), rows, [len(c[1]) for c in chunks])
 
 
 def assert_chunked_matches_one_shot(monkeypatch, m, count, seed):
-    picks, W, vol, rows = chunked_select(monkeypatch, m, count, seed)
+    picks, W, vol, rows, sizes = chunked_select(monkeypatch, m, count, seed)
+    assert sizes == chunk_sizes(count)
     W_ref, vol_ref, _, rows_ref = one_shot_frontier(m, count, seed)
     assert_bits(W, W_ref)
     assert_bits(vol, vol_ref)
@@ -475,7 +488,8 @@ def assert_chunked_matches_one_shot(monkeypatch, m, count, seed):
 @pytest.mark.parametrize("n_rows", [1, 2])
 @pytest.mark.parametrize("count", [1, 7, 8193, 50_000])
 def test_chunked_selection_matches_one_shot(monkeypatch, n_assets, n_rows, count):
-    """50 000 samples are three chunks of CHUNK_ROWS and a tail of 848."""
+    """50 000 samples are six chunks of CHUNK_ROWS and a tail of 848, 8 193
+    are a chunk of 8 184 and a tail of 9."""
     rng = np.random.default_rng(1000 * n_assets + count)
     m = Moments(mu=rng.normal(0.001, 0.01, (n_rows, n_assets)), cov=random_cov(rng, n_assets))
     assert assert_chunked_matches_one_shot(monkeypatch, m, count, seed=count) is not None
@@ -538,7 +552,7 @@ def test_workspace_of_every_sample_is_one_chunk(monkeypatch):
         assert_bits(buffer, want)
     calls.clear()
     want = mean_variance_select(m, 50_000, seed=6)
-    assert len(calls) == 4
+    assert len(calls) == 7
     for g, w in zip(got, want):
         assert_bits(g.weights.as_array(), w.weights.as_array())
         for field in ("exp_return", "volatility", "sharpe"):
@@ -573,3 +587,60 @@ def test_chunked_selection_merges_picks_as_argmax(monkeypatch, scores):
 def test_chunked_selection_all_flat_raises():
     with pytest.raises(DegenerateMarketError):
         mean_variance_select(Moments(mu=np.full((2, 5), 0.01), cov=np.zeros((5, 5))), 50_000)
+
+
+@pytest.mark.parametrize("n_assets", range(1, 17))
+def test_chunks_score_every_sample_as_one_draw(monkeypatch, n_assets):
+    """Past one, two and three chunks by 1 to 40 samples, and at 50 000,
+    every sample's volatility, expected return and Sharpe ratio in the
+    chunks equals, bit for bit, its own in one frontier_samples call over
+    all of them.  A one-row GEMV rounds unlike a row of a longer one, so a
+    lone last row would break this.  How a row rounds is the BLAS's, so this
+    runs only on the numpy and BLAS build of the golden digests."""
+    skip_unless_golden_build()
+    rng = np.random.default_rng(n_assets)
+    m = Moments(mu=rng.normal(0.001, 0.01, (2, n_assets)), cov=random_cov(rng, n_assets))
+    for count in [*range(CHUNK_ROWS + 1, CHUNK_ROWS + 41), 2 * CHUNK_ROWS + 1,
+                  3 * CHUNK_ROWS + 1, 50_000]:
+        _, _, vol, rows, _ = chunked_select(monkeypatch, m, count, seed=count)
+        _, vol_ref, rows_ref = frontier_samples(m, count, seed=count)
+        for (exp_ret, sharpe), (exp_ref, sharpe_ref) in zip(rows, rows_ref):
+            assert_bits(exp_ret, exp_ref)
+            assert_bits(sharpe, sharpe_ref)
+        assert_bits(vol, vol_ref)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_covariance_raises_before_drawing(monkeypatch, zero):
+    """On a covariance of zeros every variance is 0: the selection raises
+    what it raises when every drawn sample is flat, and draws nothing.  A
+    covariance too small for any sample to reach VOL_FLOOR draws first."""
+    draws = []
+    draw = portfolio_opt._draw_simplex
+    monkeypatch.setattr(portfolio_opt, "_draw_simplex",
+                        lambda W, *rest: draws.append(len(W)) or draw(W, *rest))
+    message = "^all sampled portfolios have zero volatility$"
+    with pytest.raises(DegenerateMarketError, match=message):
+        mean_variance_select(Moments(mu=np.full((2, 5), 0.01), cov=np.full((5, 5), zero)), 50_000)
+    assert draws == []
+    with pytest.raises(DegenerateMarketError, match=message):
+        mean_variance_select(Moments(mu=np.full((2, 5), 0.01), cov=np.eye(5) * 1e-300), 50_000)
+    assert draws == chunk_sizes(50_000)
+
+
+def test_a_backtest_selection_holds_one_small_workspace():
+    """One predictive_weights call of 50 000 samples on 5 assets: the
+    workspace of 8 192 rows takes 0.81 MiB, where one of 16 384 took
+    1.6 MiB."""
+    rng = np.random.default_rng(0)
+    last = np.full((3, 5), 100.0)
+    pred = last * (1.0 + rng.normal(0.0, 0.01, size=(2, 3, 5)))
+    trailing = [rng.normal(0.0, 0.02, size=(50, 5)) for _ in range(3)]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        predictive_weights(pred, last, trailing, count=50_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * 2**20

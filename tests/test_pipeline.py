@@ -26,7 +26,7 @@ from sentfolio.pipeline import (
     train_forecaster,
     train_variants,
 )
-from sentfolio.portfolio_opt import DEFAULT_COV_WINDOW
+from sentfolio.portfolio_opt import DEFAULT_COV_WINDOW, Weights
 from sentfolio.synthetic import make_panel
 
 FAST_LSTM = LstmConfig(hidden_size=4, num_layers=1, epochs=3, seed=0)
@@ -164,6 +164,19 @@ class TestRunPipeline:
         assert np.array(mine.values).tobytes() == np.array(shared.values).tobytes()
         assert (np.array([w.values for w in mine.weights]).tobytes()
                 == np.array([w.values for w in shared.weights]).tobytes())
+
+    def test_counts_the_days_that_fall_back_to_equal_weights(self, panel, result):
+        """A halt that freezes every close from row 107 on leaves the test
+        days from row 112 on (7 days) with all-zero trailing windows of 5
+        returns: both LSTM variants hold equal weights on those days, and
+        only on those."""
+        halted = AlignedPanel(dates=panel.dates, assets=panel.assets, values=panel.values.copy())
+        halted.values[108:, :, PRICE_INDEX] = halted.values[107, :, PRICE_INDEX]
+        res = run_pipeline(halted, lstm_config=FAST_LSTM, mc_count=500, cov_window=5)
+        assert (res.equal_weight_days, result.equal_weight_days) == (7, 0)
+        equal = Weights.equal(len(panel.assets))
+        for name in LSTM_VARIANTS:
+            assert [w == equal for w in res.curves[name].weights[-8:]] == [False] + [True] * 7
 
     def test_train_reports_for_both_variants(self, result):
         assert set(result.train_reports) == {STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT}

@@ -248,29 +248,42 @@ class TestPredictiveWeights:
 
     def test_one_weight_per_day(self):
         pred, last, trailing = self.make_inputs(V=2)
-        ws = predictive_weights(pred, last, trailing, count=2000, seed=0)
-        assert [len(w) for w in ws] == [3, 3]
+        ws, equal_days = predictive_weights(pred, last, trailing, count=2000, seed=0)
+        assert [len(w) for w in ws] == [3, 3] and equal_days == 0
 
     def test_deterministic(self):
         pred, last, trailing = self.make_inputs()
-        a = predictive_weights(pred, last, trailing, count=2000, seed=5)
-        b = predictive_weights(pred, last, trailing, count=2000, seed=5)
+        a, _ = predictive_weights(pred, last, trailing, count=2000, seed=5)
+        b, _ = predictive_weights(pred, last, trailing, count=2000, seed=5)
         assert a == b
 
     def test_variants_scored_as_if_alone(self):
         pred, last, trailing = self.make_inputs(V=3, T=4, n=4)
-        shared = predictive_weights(pred, last, trailing, count=2000, seed=2)
+        shared, _ = predictive_weights(pred, last, trailing, count=2000, seed=2)
         for v in range(3):
-            (alone,) = predictive_weights(pred[v:v + 1], last, trailing, count=2000, seed=2)
+            (alone,), _ = predictive_weights(pred[v:v + 1], last, trailing, count=2000, seed=2)
             assert [w.as_array().tobytes() for w in shared[v]] == [
                 w.as_array().tobytes() for w in alone]
 
     def test_degenerate_day_falls_back_to_equal(self):
-        pred = np.array([[[101.0, 102.0]], [[99.0, 98.0]]])
-        last = np.array([[100.0, 100.0]])
-        trailing = [np.zeros((10, 2))]
-        ws = predictive_weights(pred, last, trailing, count=100, seed=0)
-        assert ws == [[Weights.equal(2)], [Weights.equal(2)]]
+        pred = np.array([[[101.0, 102.0], [101.0, 102.0]], [[99.0, 98.0], [99.0, 98.0]]])
+        last = np.full((2, 2), 100.0)
+        trailing = [np.zeros((10, 2)), np.random.default_rng(0).normal(0.0, 0.02, (10, 2))]
+        ws, equal_days = predictive_weights(pred, last, trailing, count=100, seed=0)
+        assert [w[0] for w in ws] == [Weights.equal(2), Weights.equal(2)]
+        assert ws[0][1] != ws[1][1]  # the other day is picked from the forecasts
+        assert equal_days == 1
+
+    def test_overflowing_trailing_covariance_refused_without_warning(self):
+        """Two returns of 1.3e154 each square to a float, but the sum of
+        their squares does not; files no longer reach this, since ingest and
+        read_panel refuse such returns."""
+        pred, last, trailing = self.make_inputs()
+        trailing[1][3:5, 0] = 1.3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="non-finite mean or covariance"):
+                predictive_weights(pred, last, trailing, count=100, seed=0)
 
     def test_misaligned_inputs(self):
         pred, last, trailing = self.make_inputs()
@@ -293,7 +306,8 @@ class TestPredictiveWeights:
 
     @pytest.mark.parametrize("T", [1, 6])
     def test_one_workspace_per_call(self, monkeypatch, T):
-        """Every day, a degenerate one too, draws in the call's one workspace."""
+        """Every day draws in the call's one workspace; a degenerate one,
+        whose covariance is all zeros, draws nothing."""
         pred, last, trailing = self.make_inputs(V=2, T=T)
         trailing[0] = np.zeros_like(trailing[0])
         built = []
@@ -313,7 +327,7 @@ class TestPredictiveWeights:
         last = np.array([[100.0, 100.0, 100.0]])
         rng = np.random.default_rng(1)
         trailing = [rng.normal(0.0, 0.01, size=(50, 3))]
-        ((w,),) = predictive_weights(pred, last, trailing, count=20_000, seed=0)
+        ((w,),), _ = predictive_weights(pred, last, trailing, count=20_000, seed=0)
         assert w.values[0] > 0.5
 
 
