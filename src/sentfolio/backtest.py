@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateInputError, InsufficientDataError
+from .errors import (
+    AlignmentError, ConfigurationError, DegenerateInputError, InsufficientDataError,
+)
 from .portfolio_opt import Weights
-from .stats import TestResult, paired_t_test
 
 DEFAULT_INITIAL_CAPITAL = 10_000.0
 TRADING_DAYS_PER_YEAR = 252
@@ -70,7 +71,9 @@ def run_backtest(
 
     ``gross_returns`` is (T, n_assets); ``weights[t]`` is the allocation held
     through day t; ``dates`` has T+1 entries (start date plus one per period).
-    No transaction costs.
+    No transaction costs.  A wealth that is not a finite normal float, on
+    any date, is a ConfigurationError naming ``initial_capital``: every
+    return and metric of the curve would read inf, nan or lost bits there.
     """
     gross_returns = np.asarray(gross_returns, dtype=float)
     T = gross_returns.shape[0]
@@ -84,6 +87,13 @@ def run_backtest(
     for t in range(T):
         factor = float(weights[t].as_array() @ gross_returns[t])
         values.append(values[-1] * factor)
+    v = np.asarray(values)
+    outside = ~np.isfinite(v) | (v < np.finfo(float).tiny)
+    if outside.any():
+        t = int(np.argmax(outside))
+        raise ConfigurationError(
+            f"initial_capital {initial_capital!r}: the wealth on {dates[t]} is "
+            f"{values[t]!r}, outside the range of normal floats")
     return WealthCurve(dates=list(dates), values=values, weights=list(weights))
 
 
@@ -160,21 +170,9 @@ def performance_report(
         raise DegenerateInputError(f"{strategy}: {exc}") from exc
 
 
-def compare_strategies(
-    curves: dict[str, WealthCurve],
-    bh_name: str,
-    replicate_capitals: tuple[list[float], list[float]] | None = None,
-) -> tuple[list[PerfReport], TestResult | None]:
-    """Per-strategy metric rows plus, when per-seed replicate final capitals
-    for the two LSTM variants are supplied, their paired t-test."""
+def compare_strategies(curves: dict[str, WealthCurve], bh_name: str) -> list[PerfReport]:
+    """The metric row of each strategy, measured against ``bh_name``'s curve."""
     if bh_name not in curves:
         raise AlignmentError(f"benchmark strategy {bh_name!r} missing")
     bh = curves[bh_name]
-    reports = [performance_report(name, curve, bh) for name, curve in curves.items()]
-    ttest = None
-    if replicate_capitals is not None:
-        with_sent, without_sent = replicate_capitals
-        if len(with_sent) < 2:
-            raise InsufficientDataError("need >= 2 replicate pairs")
-        ttest = paired_t_test(with_sent, without_sent)
-    return reports, ttest
+    return [performance_report(name, curve, bh) for name, curve in curves.items()]

@@ -45,6 +45,7 @@ from .market_data import (
     AlignedPanel,
     SplitSpec,
     align_panel,
+    check_values,
     load_prices,
     split_chronological,
 )
@@ -248,11 +249,10 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
                 rows.append([float(v) for v in row[1:]])
             except ValueError as exc:
                 raise ParseError(f"{path}:{line}: malformed row ({exc})") from exc
-            if not all(map(math.isfinite, rows[-1])):
-                raise ParseError(f"{path}:{line}: non-finite value")
             lines.append(line)
     values = np.asarray(rows, dtype=float).reshape(len(dates), len(assets), len(FEATURE_NAMES))
     panel = AlignedPanel(dates=dates, assets=assets, values=values)
+    check_values(panel, lambda t: f"{path}:{lines[t]}: ")
     _check_returns(panel, lambda t: f"{path}:{lines[t]}: ")
     return panel
 
@@ -293,11 +293,12 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
     # a bad sentiment file is reported before an alignment error
     table = None if cfg.sentiment_file is None else sentiment_table(cfg)
     panel = align_panel(series)
-    _check_returns(panel)
     if table is not None:
         for a, asset in enumerate(panel.assets):
             panel.values[:, a, SENTIMENT_INDEX] = sentiment.daily_features(
                 table, asset, panel.dates)
+    check_values(panel)
+    _check_returns(panel)
     return panel
 
 
@@ -384,19 +385,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
         returns = prices[1:] / prices[:-1] - 1.0
         ratio = np.asarray(panel.features[asset]["ratio"])[1:]
         try:
-            report = granger(returns, ratio, cfg.max_lag)
+            results = granger(returns, ratio, cfg.max_lag)
         except (SingularDesignError, DegenerateInputError):
             # e.g. a constant ratio: no test for this asset, as in correlation.csv
             granger_rows += [[asset, n, "nan", n, returns.size - 3 * n - 1, "nan", 0]
                              for n in range(1, cfg.max_lag + 1)]
             continue
-        for entry in report.lags:
-            granger_rows.append([
-                asset, entry.lag, f"{entry.result.statistic:.6f}",
-                entry.result.df[0], entry.result.df[1],
-                f"{entry.result.p_value:.6f}",
-                1 if entry.result.reject_at_005 else 0,
-            ])
+        granger_rows += [[asset, lag, f"{r.statistic:.6f}", *r.df, f"{r.p_value:.6f}",
+                          1 if r.reject_at_005 else 0]
+                         for lag, r in enumerate(results, 1)]
     granger_path = cfg.out_dir / "granger.csv"
     _write_csv(granger_path, cfg,
                ["asset", "lag", "F", "df1", "df2", "p", "significant"], granger_rows)
@@ -513,7 +510,7 @@ def cmd_report(cfg: RunConfig) -> int:
         for i, name in enumerate(names)
     }
     try:
-        reports, _ = compare_strategies(curves, bh_name=pipeline.STRATEGY_BUY_HOLD)
+        reports = compare_strategies(curves, bh_name=pipeline.STRATEGY_BUY_HOLD)
     except DegenerateInputError as exc:
         raise ValidationError(f"{curves_path}: {exc}") from exc
     ttest = None
@@ -644,6 +641,9 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](cfg)
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a monte_carlo.count whose samples fit in no memory
+        print(f"error: out of memory ({exc})", file=sys.stderr)
         return 2
     except SentfolioError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

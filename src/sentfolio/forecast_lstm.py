@@ -456,11 +456,11 @@ def gradient_check(
     return worst
 
 
-def predict_series(model: LstmModel, panel: AlignedPanel):
-    """Walk-forward predictions: date t uses rows t-6..t-1 only."""
-    w = model.config.window
-    X, _ = make_windows(panel, w)
-    return panel.dates[w:], model.forward(X)
+def predict_series(model: LstmModel, panel: AlignedPanel) -> np.ndarray:
+    """Walk-forward predictions of rows ``window`` onward of ``panel``: the
+    prediction of row t reads rows t - window .. t - 1 only."""
+    X, _ = make_windows(panel, model.config.window)
+    return model.forward(X)
 
 
 # -- checkpointing ----------------------------------------------------------

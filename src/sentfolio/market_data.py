@@ -30,6 +30,24 @@ PRICE_COLUMNS = slice(PRICE_INDEX, None, len(FEATURE_NAMES))
 NEUTRAL_SENTIMENT = {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.0}
 SENTIMENT_INDEX = [FEATURE_NAMES.index(name) for name in NEUTRAL_SENTIMENT]
 
+# Every panel value is finite; a close and a (smoothed) sentiment ratio are
+# positive, a volume and an engagement count are not negative.
+POSITIVE_FEATURES = np.isin(FEATURE_NAMES, ("adj_close", "ratio"))
+
+
+def check_values(panel: AlignedPanel, where=lambda t: "") -> None:
+    """Refuse a panel holding a value that breaks the rules above, naming
+    the value, its asset, column and date after ``where(t)`` for its row t."""
+    v = panel.values
+    bad = ~np.isfinite(v) | (v < 0) | ((v == 0) & POSITIVE_FEATURES)
+    if bad.any():
+        t, a, f = np.argwhere(bad)[0].tolist()
+        value = float(v[t, a, f])
+        what = ("non-finite" if not math.isfinite(value)
+                else "non-positive" if POSITIVE_FEATURES[f] else "negative")
+        raise ValidationError(f"{where(t)}{what} value {value!r} of "
+                              f"{panel.assets[a]}:{FEATURE_NAMES[f]} on {panel.dates[t]}")
+
 
 @dataclass
 class PriceSeries:
@@ -48,13 +66,6 @@ class PriceSeries:
                 raise ValidationError(
                     f"{self.asset_id}: dates not strictly increasing at {self.dates[i]}"
                 )
-        for d, p in zip(self.dates, self.adj_close):
-            if not (p > 0) or not math.isfinite(p):
-                raise ValidationError(
-                    f"{self.asset_id}: non-positive or non-finite adj_close on {d}")
-        for d, v in zip(self.dates, self.volume):
-            if not (math.isfinite(v) and v >= 0):
-                raise ValidationError(f"{self.asset_id}: non-finite or negative volume on {d}")
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -34,7 +34,6 @@ from .portfolio_opt import (
     predictive_weights,
     rebalancing_weights,
 )
-from .stats import TestResult
 
 # Table row names, benchmark first.
 STRATEGY_BUY_HOLD = "Buy and Hold"
@@ -58,7 +57,9 @@ ALL_STRATEGIES = (*BENCHMARKS, *LSTM_VARIANTS)
 class PipelineResult:
     curves: dict[str, WealthCurve]
     reports: list[PerfReport]
-    ttest: TestResult | None
+    # Never set: the replicate t-test runs in cli.cmd_report, on replicates.csv.
+    # The field stays because perfbench/workloads._pipeline_digest reads it.
+    ttest: None = None
     train_reports: dict[str, TrainReport] = field(default_factory=dict)
     equal_weight_days: int = 0  # days on which the LSTM variants fell back to equal weights
 
@@ -125,7 +126,7 @@ def _predictive_curves(
     # it (train_forecaster leaves t0 > window); the decision at the end of
     # test row t targets row t + 1, so the first row is not used.
     predicted = np.stack([
-        predict_series(model, variant.slice(t0 - model.config.window, t1))[1][1:]
+        predict_series(model, variant.slice(t0 - model.config.window, t1))[1:]
         for model, _, variant in trained.values()
     ])
     # the trailing returns of global row g end at simple[g - 1]
@@ -148,7 +149,6 @@ def run_pipeline(
     cov_window: int = DEFAULT_COV_WINDOW,
     initial_capital: float = DEFAULT_INITIAL_CAPITAL,
     strategies: tuple[str, ...] = ALL_STRATEGIES,
-    replicate_capitals: tuple[list[float], list[float]] | None = None,
     test_window: tuple | None = None,
 ) -> PipelineResult:
     """Train both LSTM variants, run every requested strategy over the test
@@ -189,11 +189,8 @@ def run_pipeline(
         )
         curves.update(predictive)
 
-    reports, ttest = compare_strategies(
-        curves, bh_name=STRATEGY_BUY_HOLD, replicate_capitals=replicate_capitals
-    )
     return PipelineResult(
-        curves=curves, reports=reports, ttest=ttest,
+        curves=curves, reports=compare_strategies(curves, bh_name=STRATEGY_BUY_HOLD),
         train_reports={name: report for name, (_, report, _) in trained.items()},
         equal_weight_days=equal_days,
     )

@@ -29,20 +29,6 @@ class TestResult:
         return self.p_value < ALPHA
 
 
-@dataclass
-class GrangerLag:
-    lag: int
-    rss_restricted: float
-    rss_unrestricted: float
-    result: TestResult
-
-
-@dataclass
-class GrangerReport:
-    max_lag: int
-    lags: list[GrangerLag]
-
-
 def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
     qab = a + b
@@ -177,8 +163,9 @@ def _lag_matrix(series: np.ndarray, n_lags: int, start: int) -> np.ndarray:
     )
 
 
-def granger(target, driver, max_lag: int) -> GrangerReport:
-    """Bivariate Granger causality of ``driver`` on ``target``.
+def granger(target, driver, max_lag: int) -> list[TestResult]:
+    """Bivariate Granger causality of ``driver`` on ``target``: one F test
+    per lag, entry n - 1 for lag n, with df = (n, T - 2n - 1).
 
     For each lag n the restricted model regresses the target on its own n lags
     and an intercept; the unrestricted model adds n driver lags.  Both are fit
@@ -196,7 +183,7 @@ def granger(target, driver, max_lag: int) -> GrangerReport:
         raise InsufficientDataError(
             f"need more than {3 * max_lag + 1} rows for max_lag={max_lag}"
         )
-    lags = []
+    results = []
     for n in range(1, max_lag + 1):
         y = target[n:]
         T = y.size
@@ -214,15 +201,8 @@ def granger(target, driver, max_lag: int) -> GrangerReport:
         else:
             f_stat = max(0.0, (rss_r - rss_u) / n) / (rss_u / df2)
             p = f_sf(f_stat, n, df2)
-        lags.append(
-            GrangerLag(
-                lag=n,
-                rss_restricted=rss_r,
-                rss_unrestricted=rss_u,
-                result=TestResult(statistic=f_stat, df=(n, df2), p_value=p),
-            )
-        )
-    return GrangerReport(max_lag=max_lag, lags=lags)
+        results.append(TestResult(statistic=f_stat, df=(n, df2), p_value=p))
+    return results
 
 
 def paired_t_test(a, b) -> TestResult:

@@ -194,8 +194,7 @@ class TestReports:
 
     def test_bh_reference_row(self):
         curves = self.make_curves()
-        reports, ttest = compare_strategies(curves, "BuyHold")
-        assert ttest is None
+        reports = compare_strategies(curves, "BuyHold")
         bh_row = next(r for r in reports if r.strategy == "BuyHold")
         assert bh_row.bv == pytest.approx(1.0)
         assert bh_row.sharpe_vs_bh == pytest.approx(1.0)
@@ -205,18 +204,6 @@ class TestReports:
         curves = self.make_curves()
         with pytest.raises(AlignmentError):
             compare_strategies(curves, bh_name="Nope")
-
-    def test_replicates_trigger_ttest(self):
-        curves = self.make_curves()
-        reps = ([10_500.0, 10_700.0, 10_400.0], [10_100.0, 10_300.0, 10_200.0])
-        _, ttest = compare_strategies(curves, "BuyHold", replicate_capitals=reps)
-        assert ttest is not None
-        assert ttest.statistic > 0
-
-    def test_single_replicate_rejected(self):
-        curves = self.make_curves()
-        with pytest.raises(InsufficientDataError):
-            compare_strategies(curves, "BuyHold", replicate_capitals=([1.0], [2.0]))
 
     def test_performance_report_fields(self):
         curves = self.make_curves()

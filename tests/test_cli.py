@@ -516,6 +516,37 @@ BAD_INPUTS = {
     "non-finite panel value": (
         "train", lambda root: _set_field(_ingested(root), 6, 2, "nan"),
         "panel.csv:6: non-finite value"),
+    # panel.csv fields 1-6 are AAA's features in FEATURE_NAMES order, 7-12 BBB's
+    "zero close in the panel": (
+        "train", lambda root: _set_field(_ingested(root), 6, 1, "0.0"),
+        "panel.csv:6: non-positive value 0.0 of AAA:adj_close on 2015-01-05"),
+    **{f"negative close in the panel's train split, read by {command}": (
+        command, lambda root: _set_field(_ingested(root), 20, 1, "-1.5"),
+        "panel.csv:20: non-positive value -1.5 of AAA:adj_close on 2015-01-19")
+       for command in ("analyze", "frontier")},
+    "negative close in the panel's test span": (
+        "backtest", lambda root: _set_field(_ingested(root), 95, 1, "-1.5"),
+        "panel.csv:95: non-positive value -1.5 of AAA:adj_close on 2015-04-04"),
+    "negative engagement count in the panel": (
+        "train", lambda root: _set_field(_ingested(root), 30, 8, "-3.0"),
+        "panel.csv:30: negative value -3.0 of BBB:likes on 2015-01-29"),
+    "zero sentiment ratio in the panel": (
+        "analyze", lambda root: _set_field(_ingested(root), 40, 12, "0.0"),
+        "panel.csv:40: non-positive value 0.0 of BBB:ratio on 2015-02-08"),
+    "initial capital whose wealth overflows a float": (
+        "backtest", lambda root: (_ingested(root), _config_edit(
+            "max_lag: 2", "max_lag: 2\ninitial_capital: 1.7e+308")(root)),
+        "initial_capital 1.7e+308: the wealth on 2015-04-06 is inf, outside the range"),
+    "initial capital below the normal floats": (
+        "backtest", lambda root: (_ingested(root), _config_edit(
+            "max_lag: 2", "max_lag: 2\ninitial_capital: 5.0e-324")(root)),
+        "initial_capital 5e-324: the wealth on 2015-03-23 is 5e-324, outside the range"),
+    # 10**16 samples of 3 assets, 2.4e17 bytes: more than any address space,
+    # so no allocation is granted, however memory is overcommitted
+    "Monte-Carlo samples that no memory holds": (
+        "frontier", lambda root: (_ingested(root), _config_edit(
+            "count: 300", "count: 10000000000000000")(root)),
+        "out of memory (Unable to allocate"),
     "wealth curves holding only the stamp": (
         "report", _out_files(wealth_curves=STAMP), "wealth_curves.csv:2: header must contain date"),
     "short wealth curve row": (

@@ -249,19 +249,17 @@ class TestPredictSeries:
     def test_minimal_segment(self):
         panel = single_asset_panel([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
         model = fitted_model(panel, small_config())
-        dates, preds = predict_series(model, panel)
-        assert len(dates) == 1
-        assert dates[0] == panel.dates[6]
-        assert preds.shape == (1, 1)
+        preds = predict_series(model, panel)
+        assert preds.shape == (1, 1)  # one forecast, of the last row
 
     def test_no_lookahead(self):
         closes = list(np.linspace(10, 20, 16))
         panel = single_asset_panel(closes)
         model = fitted_model(panel, small_config())
-        _, base = predict_series(model, panel)
+        base = predict_series(model, panel)
         perturbed = list(closes)
         perturbed[12] *= 1.5  # prediction dates 6..12 must not change
-        _, after = predict_series(model, single_asset_panel(perturbed))
+        after = predict_series(model, single_asset_panel(perturbed))
         np.testing.assert_array_equal(base[:7], after[:7])
         assert not np.allclose(base[7:], after[7:])
 
@@ -271,7 +269,7 @@ class TestPredictSeries:
         model = fitted_model(panel, cfg)
         X, Y = make_windows(panel)
         train(model, (X, Y), (X, Y))
-        _, preds = predict_series(model, panel)
+        preds = predict_series(model, panel)
         np.testing.assert_allclose(preds, 50.0, rtol=0.01)
 
 

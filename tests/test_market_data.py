@@ -16,7 +16,6 @@ from sentfolio.market_data import (
     PRICE_COLUMNS,
     SENTIMENT_INDEX,
     AlignedPanel,
-    PriceSeries,
     SplitSpec,
     align_panel,
     load_prices,
@@ -90,13 +89,6 @@ class TestLoadPrices:
         with pytest.raises(ValidationError, match=f"XYZ.csv:3: non-finite adj_close {shown}$"):
             load_prices(f)
 
-    def test_price_series_rejects_infinite_price(self):
-        with pytest.raises(ValidationError, match="non-positive or non-finite adj_close"):
-            PriceSeries("A", [dt.date(2020, 1, 1)], [float("inf")], [1.0])
-
-    def test_price_series_rejects_nan_volume(self):
-        with pytest.raises(ValidationError):
-            PriceSeries("A", [dt.date(2020, 1, 1)], [1.0], [float("nan")])
 
 
 class TestAlignPanel:

@@ -181,14 +181,6 @@ class TestRunPipeline:
     def test_train_reports_for_both_variants(self, result):
         assert set(result.train_reports) == {STRATEGY_LSTM, STRATEGY_LSTM_SENTIMENT}
 
-    def test_replicates_produce_ttest(self, panel):
-        res = run_pipeline(
-            panel, lstm_config=FAST_LSTM, mc_count=200,
-            strategies=(STRATEGY_BUY_HOLD,),
-            replicate_capitals=([10_100.0, 10_350.0], [10_000.0, 10_200.0]),
-        )
-        assert res.ttest is not None
-
     def test_no_replicates_no_ttest(self, result):
         assert result.ttest is None
 
