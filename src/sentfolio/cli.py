@@ -253,34 +253,7 @@ def read_panel(cfg: RunConfig) -> AlignedPanel:
     values = np.asarray(rows, dtype=float).reshape(len(dates), len(assets), len(FEATURE_NAMES))
     panel = AlignedPanel(dates=dates, assets=assets, values=values)
     check_values(panel, lambda t: f"{path}:{lines[t]}: ")
-    _check_returns(panel, lambda t: f"{path}:{lines[t]}: ")
     return panel
-
-
-def _check_returns(panel: AlignedPanel, where=lambda t: "") -> None:
-    """Refuse a panel in which an asset's return from the date before, its
-    square or the running sum of its squares overflows a float, naming the
-    asset and both dates after ``where(t)`` for the later row t: every
-    command that takes returns, their squares or sums of them (a covariance,
-    a regression) would read inf or nan there."""
-    prices = panel.price_matrix()
-    with np.errstate(over="ignore"):
-        returns = prices[1:] / prices[:-1] - 1.0
-        squares = returns * returns
-        overflows = np.isinf(np.cumsum(squares, axis=0))
-    if overflows.any():
-        t, a = np.argwhere(overflows)[0].tolist()
-        before, after = prices[t:t + 2, a].tolist()
-        if math.isinf(returns[t, a]):
-            how = ""
-        elif math.isinf(squares[t, a]):
-            how = " when squared"
-        else:
-            how = " when its square is added to those of the returns before it"
-        raise ValidationError(
-            f"{where(t + 1)}{panel.assets[a]}: the return from {panel.dates[t]} to "
-            f"{panel.dates[t + 1]} overflows a float{how} "
-            f"(close {before!r}, then {after!r})")
 
 
 def build_panel(cfg: RunConfig) -> AlignedPanel:
@@ -298,7 +271,6 @@ def build_panel(cfg: RunConfig) -> AlignedPanel:
             panel.values[:, a, SENTIMENT_INDEX] = sentiment.daily_features(
                 table, asset, panel.dates)
     check_values(panel)
-    _check_returns(panel)
     return panel
 
 
@@ -499,8 +471,8 @@ def _read_artifact_csv(path: Path, required: tuple[str, ...], parse_key
 def cmd_report(cfg: RunConfig) -> int:
     curves_path = cfg.out_dir / "wealth_curves.csv"
     names, dates, rows = _read_artifact_csv(curves_path, ("date",), dt.date.fromisoformat)
-    if len(rows) < 2:
-        raise ParseError(f"{curves_path}: {len(rows)} rows, need at least 2")
+    if len(rows) < 3:  # 2 daily returns, for the Sharpe ratio's ddof=1
+        raise ParseError(f"{curves_path}: {len(rows)} rows, need at least 3")
     curves = {
         name: WealthCurve(
             dates=dates,
@@ -563,8 +535,8 @@ def cmd_frontier(cfg: RunConfig) -> int:
     prices = train_panel.price_matrix()
     try:
         moments = estimate_moments(prices[1:] / prices[:-1] - 1.0)
-    except ValidationError as exc:
-        raise ValidationError(f"{_panel_path(cfg)}: train split: {exc}") from exc
+    except (ValidationError, InsufficientDataError) as exc:
+        raise type(exc)(f"{_panel_path(cfg)}: train split: {exc}") from exc
     # a workspace of every sample: one chunk, whose scores stay in it
     ws = MonteCarloWorkspace(cfg.mc_count, len(panel.assets))
     try:

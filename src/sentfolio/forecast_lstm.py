@@ -35,11 +35,13 @@ that pass waits for a benchmark change, because the benchmark pins
 The panel sizes the network: ``LstmModel(config, n_assets)`` reads
 ``n_assets * len(FEATURE_NAMES)`` features and predicts ``n_assets`` prices,
 the ``PRICE_COLUMNS`` of the feature matrix.  A checkpoint (format 2) is one
-JSON object holding ``config``, ``n_assets``, the input scaler's ``min`` and
-``span``, and ``theta`` as one list; the target scaler is its
-``PRICE_COLUMNS``, so it is not stored.  JSON writes each float's shortest
-round-tripping repr, so a loaded model forecasts bit for bit as the saved
-one, and saving it again gives the same bytes.
+JSON object holding ``config``, ``n_assets``, ``scaler`` with the model's
+``feature_min`` and ``feature_span`` as ``min`` and ``span``, and ``theta``
+as one list.  Those two arrays, the train split's per-feature minimum and
+span, scale the inputs, and their ``PRICE_COLUMNS`` scale the targets.  JSON
+writes each float's shortest round-tripping repr, so a loaded model
+forecasts bit for bit as the saved one, and saving it again gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -96,44 +98,6 @@ class TrainReport:
             )
 
 
-class MinMaxScaler:
-    """Per-feature [0,1] scaling; constant features map to 0 and back exactly."""
-
-    def __init__(self):
-        self.min_: np.ndarray | None = None
-        self.span_: np.ndarray | None = None
-
-    @property
-    def fitted(self) -> bool:
-        return self.min_ is not None
-
-    def fit(self, X: np.ndarray) -> "MinMaxScaler":
-        X = np.asarray(X, dtype=float)
-        self.min_ = X.min(axis=0)
-        span = X.max(axis=0) - self.min_
-        span[span < 1e-12] = 1.0
-        self.span_ = span
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise DimensionError("scaler not fitted")
-        out = np.asarray(X, dtype=float) - self.min_
-        out /= self.span_
-        return out
-
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        if not self.fitted:
-            raise DimensionError("scaler not fitted")
-        return np.asarray(X, dtype=float) * self.span_ + self.min_
-
-    def subset(self, columns: slice) -> "MinMaxScaler":
-        out = MinMaxScaler()
-        out.min_ = self.min_[columns].copy()
-        out.span_ = self.span_[columns].copy()
-        return out
-
-
 def _sigmoid(x: np.ndarray, out: np.ndarray, e: np.ndarray) -> None:
     """Overflow-free logistic function of ``x``, written into ``out`` (which
     may be ``x`` itself); ``e``, of x's shape, is a work buffer that aliases
@@ -173,7 +137,9 @@ class LstmModel:
     def __init__(self, config: LstmConfig, n_assets: int):
         self.config = config
         self.n_assets = n_assets
-        self.scaler = MinMaxScaler()
+        # per-feature min and span of the train split; None until fit_scaler
+        self.feature_min: np.ndarray | None = None
+        self.feature_span: np.ndarray | None = None
         H = config.hidden_size
         self._shapes = _parameter_shapes(config, n_assets)
         self._bounds = np.cumsum([0] + [math.prod(s) for s in self._shapes]).tolist()
@@ -201,13 +167,24 @@ class LstmModel:
 
     def fit_scaler(self, train_features: np.ndarray) -> None:
         """Fit min/max on the training split's feature matrix only; never
-        refit afterwards."""
-        self.scaler.fit(train_features)
+        refit afterwards.  A constant feature gets span 1, so it scales to 0
+        and back exactly."""
+        X = np.asarray(train_features, dtype=float)
+        self.feature_min = X.min(axis=0)
+        span = X.max(axis=0) - self.feature_min
+        span[span < 1e-12] = 1.0
+        self.feature_span = span
 
-    @property
-    def target_scaler(self) -> MinMaxScaler:
-        """The scaling of the forecast targets: ``scaler``'s PRICE_COLUMNS."""
-        return self.scaler.subset(PRICE_COLUMNS)
+    def _scaled(self, X: np.ndarray, columns: slice = slice(None)) -> np.ndarray:
+        """(X - min) / span over ``columns`` of the features: all of them for
+        inputs, PRICE_COLUMNS for targets."""
+        out = np.asarray(X, dtype=float) - self.feature_min[columns]
+        out /= self.feature_span[columns]
+        return out
+
+    def _prices(self, Y_scaled: np.ndarray) -> np.ndarray:
+        """Scaled targets back to prices: y * span + min over PRICE_COLUMNS."""
+        return Y_scaled * self.feature_span[PRICE_COLUMNS] + self.feature_min[PRICE_COLUMNS]
 
     # -- forward / backward -------------------------------------------------
 
@@ -322,24 +299,19 @@ class LstmModel:
         way, read-only.  Any other batch is scaled into one new array."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 3 or len(X) < 2 or X.strides[0] != X.strides[1]:
-            return self.scaler.transform(X)
+            return self._scaled(X)
         B, T, F = X.shape
         rows = np.lib.stride_tricks.as_strided(
             X, (B + T - 1, F), X.strides[1:], writeable=False)
-        return _windows(self.scaler.transform(rows), T)
+        return _windows(self._scaled(rows), T)
 
-    def forward(self, window: np.ndarray) -> np.ndarray:
-        """One raw (window, F) feature window (or a batch) to unscaled next-day
-        prices, F being 6 per asset."""
-        single = window.ndim == 2
-        X = window[None, ...] if single else window
-        if X.shape[1] != self.config.window:
-            raise DimensionError(
-                f"expected {self.config.window} timesteps, got {X.shape[1]}"
-            )
+    def forward(self, X: np.ndarray) -> np.ndarray:
+        """Raw (B, window, F) feature windows to unscaled next-day prices
+        (B, n_assets), F being 6 per asset."""
+        if X.ndim != 3 or X.shape[1] != self.config.window:
+            raise DimensionError(f"expected (B, {self.config.window}, F), got {X.shape}")
         y_scaled, _ = self._forward_scaled(self.scale_inputs(X), history=False)
-        y = self.target_scaler.inverse(y_scaled)
-        return y[0] if single else y
+        return self._prices(y_scaled)
 
     def adam_step(self, grad: np.ndarray) -> None:
         self._adam_t += 1
@@ -384,12 +356,12 @@ def train(
     X_va, Y_va = val_windows
     if X_tr.shape[0] == 0 or X_va.shape[0] == 0:
         raise InsufficientDataError("empty train or validation window set")
-    if not model.scaler.fitted:
+    if model.feature_min is None:
         raise DimensionError("fit_scaler must run before train")
     Xs_tr = model.scale_inputs(X_tr)
-    Ys_tr = model.target_scaler.transform(Y_tr)
+    Ys_tr = model._scaled(Y_tr, PRICE_COLUMNS)
     Xs_va = model.scale_inputs(X_va)
-    Ys_va = model.target_scaler.transform(Y_va)
+    Ys_va = model._scaled(Y_va, PRICE_COLUMNS)
 
     rng = np.random.default_rng(cfg.seed + 1)
     train_mse: list[float] = []
@@ -436,7 +408,7 @@ def gradient_check(
         X = X[None, ...]
         Y = Y[None, ...]
     Xs = model.scale_inputs(np.asarray(X, dtype=float))
-    Ys = model.target_scaler.transform(np.asarray(Y, dtype=float))
+    Ys = model._scaled(Y, PRICE_COLUMNS)
     _, grad = model.loss_and_grads(Xs, Ys)
     theta = model.theta
     rng = np.random.default_rng(seed)
@@ -471,8 +443,8 @@ def save_checkpoint(model: LstmModel, path: str | Path) -> None:
         "config": model.config.__dict__,
         "n_assets": model.n_assets,
         "scaler": {
-            "min": model.scaler.min_.tolist(),
-            "span": model.scaler.span_.tolist(),
+            "min": model.feature_min.tolist(),
+            "span": model.feature_span.tolist(),
         },
         "theta": model.theta.tolist(),
     }
@@ -545,7 +517,7 @@ def load_checkpoint(path: str | Path) -> LstmModel:
                      sum(math.prod(s) for s in _parameter_shapes(config, n_assets)))
     width = n_assets * len(FEATURE_NAMES)
     model = LstmModel(config, n_assets)
-    model.scaler.min_ = _numbers(path, "scaler.min", scaler.get("min"), width)
-    model.scaler.span_ = _numbers(path, "scaler.span", scaler.get("span"), width)
+    model.feature_min = _numbers(path, "scaler.min", scaler.get("min"), width)
+    model.feature_span = _numbers(path, "scaler.span", scaler.get("span"), width)
     model.theta[...] = theta
     return model

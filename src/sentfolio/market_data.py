@@ -31,13 +31,18 @@ NEUTRAL_SENTIMENT = {"likes": 0.0, "retweets": 0.0, "comments": 0.0, "ratio": 1.
 SENTIMENT_INDEX = [FEATURE_NAMES.index(name) for name in NEUTRAL_SENTIMENT]
 
 # Every panel value is finite; a close and a (smoothed) sentiment ratio are
-# positive, a volume and an engagement count are not negative.
+# positive, a volume and an engagement count are not negative.  No return
+# from one close to the next, its square or the running sum of its squares
+# overflows a float: every command that takes returns, their squares or sums
+# of them (a covariance, a regression) would read inf or nan there.
 POSITIVE_FEATURES = np.isin(FEATURE_NAMES, ("adj_close", "ratio"))
 
 
 def check_values(panel: AlignedPanel, where=lambda t: "") -> None:
-    """Refuse a panel holding a value that breaks the rules above, naming
-    the value, its asset, column and date after ``where(t)`` for its row t."""
+    """Refuse a panel that breaks the rules above, after ``where(t)`` for
+    the row t at fault: a bad value is named with its asset, column and
+    date, an overflowing return with its asset, both dates and both closes
+    (t being the later row)."""
     v = panel.values
     bad = ~np.isfinite(v) | (v < 0) | ((v == 0) & POSITIVE_FEATURES)
     if bad.any():
@@ -47,6 +52,24 @@ def check_values(panel: AlignedPanel, where=lambda t: "") -> None:
                 else "non-positive" if POSITIVE_FEATURES[f] else "negative")
         raise ValidationError(f"{where(t)}{what} value {value!r} of "
                               f"{panel.assets[a]}:{FEATURE_NAMES[f]} on {panel.dates[t]}")
+    prices = panel.price_matrix()
+    with np.errstate(over="ignore"):
+        returns = prices[1:] / prices[:-1] - 1.0
+        squares = returns * returns
+        overflows = np.isinf(np.cumsum(squares, axis=0))
+    if overflows.any():
+        t, a = np.argwhere(overflows)[0].tolist()
+        before, after = prices[t:t + 2, a].tolist()
+        if math.isinf(returns[t, a]):
+            how = ""
+        elif math.isinf(squares[t, a]):
+            how = " when squared"
+        else:
+            how = " when its square is added to those of the returns before it"
+        raise ValidationError(
+            f"{where(t + 1)}{panel.assets[a]}: the return from {panel.dates[t]} to "
+            f"{panel.dates[t + 1]} overflows a float{how} "
+            f"(close {before!r}, then {after!r})")
 
 
 @dataclass

@@ -77,6 +77,10 @@ def train_forecaster(
 ) -> tuple[LstmModel, TrainReport]:
     """Fit scaler on the train split, train on train/val windows."""
     train_panel, val_panel, _ = split_chronological(panel, split)
+    for name, part in (("train", train_panel), ("validation", val_panel)):
+        if part.n_rows <= config.window:
+            raise ConfigurationError(f"{name} split has {part.n_rows} rows, "
+                                     f"fewer than lstm.window + 1 = {config.window + 1}")
     model = LstmModel(config, len(panel.assets))
     model.fit_scaler(train_panel.feature_matrix())
     report = train(
@@ -164,14 +168,15 @@ def run_pipeline(
     train_panel, val_panel, _ = split_chronological(panel, split)
     t0 = train_panel.n_rows + val_panel.n_rows
     t1 = panel.n_rows
+    span = f"test split (split.test {split.test_frac})"
     if test_window is not None:
         d_from, d_to = test_window
         idx = [i for i in range(t0, t1) if d_from <= panel.dates[i] <= d_to]
-        if len(idx) < 2:
-            raise ConfigurationError(
-                f"down-market window {d_from}..{d_to} has fewer than 2 test rows"
-            )
-        t0, t1 = idx[0], idx[-1] + 1
+        span = f"down-market window {d_from}..{d_to}"
+        t0, t1 = (idx[0], idx[-1] + 1) if idx else (t0, t0)
+    if t1 - t0 < 3:  # 2 daily returns, for the Sharpe ratio's ddof=1
+        raise ConfigurationError(f"{span} has {t1 - t0} test row{'s' * (t1 - t0 != 1)}, "
+                                 "need at least 3 for the Sharpe ratio")
     prices = panel.price_matrix()[:t1]
     gross = prices[t0 + 1:] / prices[t0:-1]
     dates = panel.dates[t0:t1]

@@ -80,6 +80,16 @@ def artifact(workspace, name):
     return workspace / "out" / name
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(path):
+    """The JSON document at ``path``; NaN and Infinity, which no JSON
+    parser but Python's reads, are refused."""
+    return json.loads(path.read_text(), parse_constant=_no_constant)
+
+
 class TestConfig:
     def test_load(self, workspace):
         cfg = load_config(workspace / "config.yaml")
@@ -200,7 +210,7 @@ class TestTrainBacktestReport:
         assert run(workspace, "report") == 0
         lines = artifact(workspace, "report.csv").read_text().splitlines()
         assert lines[1].split(",") == REPORT_HEADER
-        payload = json.loads(artifact(workspace, "report.json").read_text())
+        payload = strict_json(artifact(workspace, "report.json"))
         assert payload["strategies"]["Buy and Hold"]["bv"] == pytest.approx(1.0)
         assert payload["strategies"]["Buy and Hold"]["sr"] == pytest.approx(1.0)
         assert artifact(workspace, "wealth.svg").read_text().startswith("<svg")
@@ -422,6 +432,8 @@ date,Buy and Hold,LSTM
 2015-01-06,10000.0,10020.0
 2015-01-07,10000.0,10110.0
 """
+# the stamp, the header and two rows: one daily return, no Sharpe ratio
+TWO_ROW_CURVES = "".join(WEALTH_CURVES.splitlines(keepends=True)[:4])
 FIELD_LIMIT = 131_072  # csv.field_size_limit() by default
 MONTE_CARLO = "monte_carlo:\n  count: 300\n  seed: 0\n"
 
@@ -616,6 +628,32 @@ BAD_INPUTS = {
     "huge last return, whose square is a float but whose annualized return is not": (
         "backtest", _overflowing_return(_ingested, "1e-50", "1e50", 101),
         "panel.csv: Buy and Hold: a metric overflows"),
+    "test split of one row": (
+        "backtest", lambda root: (_ingested(root), _config_edit(
+            "max_lag: 2", "max_lag: 2\nsplit: {train: 0.7, val: 0.295, test: 0.005}")(root)),
+        "test split (split.test 0.005) has 1 test row, need at least 3 for the Sharpe ratio"),
+    "test split of two rows": (
+        "backtest", lambda root: (_ingested(root), _config_edit(
+            "max_lag: 2", "max_lag: 2\nsplit: {train: 0.7, val: 0.28, test: 0.02}")(root)),
+        "test split (split.test 0.02) has 2 test rows, need at least 3 for the Sharpe ratio"),
+    "down-market window of two rows": (
+        "backtest --down-market 2015-04-10,2015-04-11", _ingested,
+        "down-market window 2015-04-10..2015-04-11 has 2 test rows, need at least 3"),
+    "wealth curves of two rows": (
+        "report", _out_files(wealth_curves=TWO_ROW_CURVES),
+        "wealth_curves.csv: 2 rows, need at least 3"),
+    "lstm.window as long as the validation split": (
+        "train", lambda root: (_ingested(root), _config_edit(
+            "  epochs: 2", "  epochs: 2\n  window: 12")(root)),
+        "validation split has 10 rows, fewer than lstm.window + 1 = 13"),
+    "train split shorter than lstm.window": (
+        "backtest", lambda root: (_ingested(root), _config_edit(
+            "max_lag: 2", "max_lag: 2\nsplit: {train: 0.03, val: 0.07, test: 0.9}")(root)),
+        "train split has 3 rows, fewer than lstm.window + 1 = 7"),
+    "frontier on a train split of two rows": (
+        "frontier", lambda root: (_ingested(root), _config_edit(
+            "max_lag: 2", "max_lag: 2\nsplit: {train: 0.02, val: 0.08, test: 0.9}")(root)),
+        "panel.csv: train split: need at least 2 return rows"),
     "frontier on prices that never move": (
         "frontier", _flat_prices, "the train split's returns never vary"),
     "misspelled replicate_seeds": (
@@ -684,7 +722,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
     root = populate(tmp_path, THREE_ASSETS)
     corrupt(root)
     capsys.readouterr()
-    assert run(root, command) == 2
+    assert run(root, *command.split()) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert expected in lines[0]
@@ -770,12 +808,12 @@ def test_backtest_without_replicates_drops_their_old_file(tmp_path):
     root = populate(tmp_path, THREE_ASSETS + "replicate_seeds: [1, 2]\n")
     for command in ("ingest", "backtest", "report"):
         assert run(root, command) == 0, command
-    assert "paired_t_test" in json.loads(artifact(root, "report.json").read_text())
+    assert "paired_t_test" in strict_json(artifact(root, "report.json"))
     (root / "config.yaml").write_text(THREE_ASSETS)
     for command in ("backtest", "report"):
         assert run(root, command) == 0, command
     assert not artifact(root, "replicates.csv").exists()
-    assert "paired_t_test" not in json.loads(artifact(root, "report.json").read_text())
+    assert "paired_t_test" not in strict_json(artifact(root, "report.json"))
 
 
 def test_analyze_writes_nan_granger_rows_for_constant_ratio(tmp_path):

@@ -13,7 +13,6 @@ from sentfolio.forecast_lstm import (
     ADAM_EPS,
     LstmConfig,
     LstmModel,
-    MinMaxScaler,
     TrainReport,
     gradient_check,
     load_checkpoint,
@@ -51,26 +50,41 @@ def views(model):
     return layers + [model.W_out, model.b_out]
 
 
+def unscaled(model, X_scaled):
+    """Scaled features back to raw ones, every column: x * span + min."""
+    return X_scaled * model.feature_span + model.feature_min
+
+
 class TestScaler:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        X = rng.uniform(-5, 5, size=(40, 7))
-        sc = MinMaxScaler().fit(X)
-        np.testing.assert_allclose(sc.inverse(sc.transform(X)), X, atol=1e-10)
+        X = rng.uniform(-5, 5, size=(40, 12))
+        model = LstmModel(small_config(), 2)
+        model.fit_scaler(X)
+        np.testing.assert_allclose(unscaled(model, model._scaled(X)), X, atol=1e-10)
+        Y = X[:, PRICE_COLUMNS]
+        np.testing.assert_allclose(model._prices(model._scaled(Y, PRICE_COLUMNS)), Y, atol=1e-10)
 
     def test_constant_feature(self):
-        X = np.column_stack([np.full(10, 3.0), np.arange(10.0)])
-        sc = MinMaxScaler().fit(X)
-        out = sc.transform(X)
+        # one asset: column 0 is its adj_close, a target
+        X = np.column_stack([np.full(10, 3.0)] + [np.arange(10.0)] * 5)
+        model = LstmModel(small_config(), 1)
+        model.fit_scaler(X)
+        out = model._scaled(X)
         assert (out[:, 0] == 0.0).all()
-        np.testing.assert_allclose(sc.inverse(out), X, atol=1e-12)
+        np.testing.assert_allclose(unscaled(model, out), X, atol=1e-12)
+        np.testing.assert_allclose(model._prices(model._scaled(X[:, PRICE_COLUMNS], PRICE_COLUMNS)),
+                                   X[:, PRICE_COLUMNS], atol=1e-12)
 
     def test_params_frozen_after_fit(self):
-        sc = MinMaxScaler().fit(np.arange(10.0).reshape(-1, 1))
-        before = (sc.min_.copy(), sc.span_.copy())
-        sc.transform(np.array([[100.0]]))
-        np.testing.assert_array_equal(sc.min_, before[0])
-        np.testing.assert_array_equal(sc.span_, before[1])
+        model = LstmModel(small_config(), 1)
+        model.fit_scaler(np.arange(60.0).reshape(10, 6))
+        before = (model.feature_min.copy(), model.feature_span.copy())
+        model._scaled(np.full((1, 6), 100.0))
+        model._scaled(np.array([[100.0]]), PRICE_COLUMNS)
+        model.forward(np.full((1, 6, 6), 100.0))
+        np.testing.assert_array_equal(model.feature_min, before[0])
+        np.testing.assert_array_equal(model.feature_span, before[1])
 
 
 class TestMakeWindows:
@@ -101,31 +115,33 @@ class TestForward:
         model = fitted_model(panel, small_config())
         model.theta[...] = 0.0
         # scaled zero input -> scaled zero output -> inverse of zero vector
-        expected = model.target_scaler.inverse(np.zeros(1))
+        expected = model._prices(np.zeros((1, 1)))
         # forward() scales the raw window first, so feed the raw values that
-        # scale to zero (the per-feature minima)
-        raw = model.scaler.inverse(np.zeros((6, 6)))
+        # scale to zero (the per-feature minima), as a batch of one
+        raw = unscaled(model, np.zeros((1, 6, 6)))
         np.testing.assert_allclose(model.forward(raw), expected, atol=1e-12)
 
     def test_deterministic(self):
         panel = single_asset_panel(list(np.linspace(10, 20, 12)))
         model = fitted_model(panel, small_config())
         X, _ = make_windows(panel)
-        np.testing.assert_array_equal(model.forward(X[0]), model.forward(X[0]))
+        np.testing.assert_array_equal(model.forward(X[:1]), model.forward(X[:1]))
 
     def test_shape_mismatch(self):
         panel = single_asset_panel([1.0] * 8)
         model = fitted_model(panel, small_config())
-        with pytest.raises(DimensionError):
-            model.forward(np.zeros((3, 6)))
+        # three timesteps, not six; and one window without its batch axis
+        for X in (np.zeros((1, 3, 6)), np.zeros((3, 6)), np.zeros((6, 6))):
+            with pytest.raises(DimensionError):
+                model.forward(X)
 
     def test_hand_unrolled_tiny_net(self):
         # 1 asset (6 inputs), 1 layer, hidden 2, 2 timesteps, hand-set
         # weights; oracle below unrolls the cell recurrence with plain floats
         cfg = LstmConfig(hidden_size=2, num_layers=1, window=2, epochs=1, seed=0)
         model = LstmModel(cfg, 1)
-        model.scaler.min_ = np.zeros(6)
-        model.scaler.span_ = np.ones(6)
+        model.feature_min = np.zeros(6)
+        model.feature_span = np.ones(6)
         W = np.array([[0.3, -0.2, 0.5, 0.1, -0.4, 0.25, 0.6, -0.1],
                       [0.05, 0.1, -0.15, 0.2, 0.0, -0.3, 0.1, 0.2],
                       [-0.1, 0.3, 0.2, -0.05, 0.15, 0.1, -0.2, 0.05],
@@ -156,8 +172,9 @@ class TestForward:
             c = [f[k] * c[k] + i[k] * g[k] for k in range(2)]
             h = [o[k] * math.tanh(c[k]) for k in range(2)]
         expected = h[0] * Wo[0, 0] + h[1] * Wo[1, 0] + bo[0]
-        got = model.forward(np.array(x))
-        assert got[0] == pytest.approx(expected, abs=1e-12)
+        got = model.forward(np.array([x]))
+        assert got.shape == (1, 1)
+        assert got[0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestTrain:
@@ -182,7 +199,7 @@ class TestTrain:
         report = train(model, (Xtr, Ytr), (Xva, Yva))
         # persistence oracle: predict the day-6 price for day 7
         Xs = model.scale_inputs(Xva)
-        Ys = model.target_scaler.transform(Yva)
+        Ys = model._scaled(Yva, PRICE_COLUMNS)
         persist = Xs[:, -1, PRICE_COLUMNS]
         persist_mse = float(np.mean((persist - Ys) ** 2))
         assert report.val_mse[report.best_epoch] < persist_mse
@@ -205,6 +222,12 @@ class TestTrain:
         X, Y = make_windows(panel)
         report = train(model, (X, Y), (X, Y))
         assert report.train_mse[-1] < report.train_mse[0]
+
+    def test_refuses_a_model_without_its_scaling(self):
+        panel = single_asset_panel(list(np.linspace(10, 30, 25)))
+        X, Y = make_windows(panel)
+        with pytest.raises(DimensionError, match="fit_scaler must run before train"):
+            train(LstmModel(small_config(), 1), (X, Y), (X, Y))
 
     @pytest.mark.parametrize("best_epoch", [0, 2, 3, -2])
     def test_report_refuses_best_epoch_off_the_argmin(self, best_epoch):

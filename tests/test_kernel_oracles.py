@@ -184,10 +184,9 @@ def test_forward_without_history_matches_training_forward(num_layers):
         assert_bits(y, y_train)
         err = y_train - Y
         assert model.loss(X, Y) == float(np.mean(err ** 2))
-        assert_bits(model.forward(raw), model.target_scaler.inverse(y_train))
+        assert_bits(model.forward(raw), model._prices(y_train))
         # one window is a batch of one: B = 1 has GEMMs of its own
-        assert_bits(model.forward(raw[0]),
-                    model.target_scaler.inverse(model._forward_scaled(X[:1])[0])[0])
+        assert_bits(model.forward(raw[:1]), model._prices(model._forward_scaled(X[:1])[0]))
 
 
 @pytest.mark.parametrize("window", [1, 6])
@@ -240,7 +239,7 @@ def test_windows_of_any_layout_are_scaled_entry_by_entry():
     shared = np.lib.stride_tricks.sliding_window_view(matrix[::-1], 6, axis=0).transpose(0, 2, 1)
     for X in (raw, raw[::2], raw[:, ::-1], raw.transpose(1, 0, 2), shared,
               np.broadcast_to(matrix[0], (40, 6, 30))):
-        assert_bits(model.scale_inputs(X), (X - model.scaler.min_) / model.scaler.span_)
+        assert_bits(model.scale_inputs(X), (X - model.feature_min) / model.feature_span)
 
 
 @pytest.mark.parametrize("num_layers", [1, 3])

@@ -264,3 +264,13 @@ class TestTestWindow:
                 strategies=(STRATEGY_BUY_HOLD,),
                 test_window=(dt.date(1990, 1, 1), dt.date(1990, 1, 2)),
             )
+
+    def test_window_of_two_rows_rejected(self, panel):
+        # two closes give one daily return, and the Sharpe ratio needs two
+        _, _, test = split_chronological(panel, SplitSpec())
+        with pytest.raises(ConfigurationError, match="has 2 test rows, need at least 3"):
+            run_pipeline(
+                panel, lstm_config=FAST_LSTM, mc_count=200,
+                strategies=(STRATEGY_BUY_HOLD,),
+                test_window=(test.dates[3], test.dates[4]),
+            )
