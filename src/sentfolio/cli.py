@@ -336,6 +336,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
     panel = read_panel(cfg)
     if cfg.sentiment_file is None:
         raise ConfigurationError("analyze requires sentiment_file")
+    n_returns = panel.n_rows - 1
+    if n_returns <= 3 * cfg.max_lag + 1:  # granger's rows for max_lag lags
+        raise ConfigurationError(
+            f"{_panel_path(cfg)}: {n_returns} returns, too few for max_lag {cfg.max_lag} "
+            f"(the Granger test needs more than {3 * cfg.max_lag + 1})")
     table = sentiment_table(cfg)
 
     corr_rows = []

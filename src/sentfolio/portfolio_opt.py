@@ -33,12 +33,17 @@ chunk is a lone last row: numpy computes a one-row GEMV as a dot product,
 which rounds differently.  Where a full chunk would leave one row, it takes
 8 rows fewer and the last chunk 9.
 
-One workspace serves every day of a backtest.  When each day allocates its
-arrays afresh, glibc hands them back to the OS and the next day faults them
-in again.  So ``predictive_weights`` builds one ``MonteCarloWorkspace`` of
-chunk size per call and passes it down to ``frontier_samples`` on every
-chunk of every day.  It is per call, not cached at module level: a cache
-would outlive the backtest and share mutable arrays between callers.
+One cloud serves every day of a backtest.  ``predictive_weights`` keeps one
+workspace of chunk size (arrays allocated afresh each day would be handed
+back to the OS by glibc and faulted in again) and one cloud of ``count``
+rows, 1.9 MiB at 50 000 x 5.  The first day whose covariance is not all
+zeros draws the cloud from ``default_rng(seed)``, chunk by chunk as any
+selection draws; later days copy its chunks into the workspace instead of
+drawing.  So days, like forecasts, are scored on common random numbers: day
+t picks what one selection on its moments and ``seed`` picks, and one day's
+selection error is correlated with the next day's.  Both arrays are per
+call, not cached at module level: a cache would outlive the backtest and
+share mutable arrays between callers.
 """
 
 from __future__ import annotations
@@ -118,7 +123,7 @@ class FrontierSample:
 
 
 class MonteCarloWorkspace:
-    """Arrays of one Monte-Carlo selection, reusable from day to day.
+    """Arrays of Monte-Carlo selections, reusable from day to day.
 
     ``W`` holds the (count, n) simplex samples and ``cols`` their (n, count)
     transpose; ``total``, ``variance``, ``term`` and ``flat`` are count-long
@@ -126,9 +131,13 @@ class MonteCarloWorkspace:
     term and the zero-volatility mask.  Once the variances are summed,
     ``term`` and ``total`` hold a scored row's expected returns and Sharpe
     ratios.  A use of ``count`` rows overwrites the first ``count`` of each.
+
+    ``cloud`` is None or (rows, n) samples kept from selection to selection,
+    and ``cloud_seed`` the seed they hold, None until they are drawn (see
+    ``mean_variance_select``).
     """
 
-    __slots__ = ("W", "cols", "total", "variance", "term", "flat")
+    __slots__ = ("W", "cols", "total", "variance", "term", "flat", "cloud", "cloud_seed")
 
     def __init__(self, count: int, n_assets: int):
         if n_assets < 1 or count < 1:
@@ -139,6 +148,8 @@ class MonteCarloWorkspace:
         self.variance = np.empty(count)
         self.term = np.empty(count)
         self.flat = np.empty(count, dtype=bool)
+        self.cloud = None
+        self.cloud_seed = None
 
     def _head(self, count: int) -> tuple[np.ndarray, ...]:
         """Views of the first ``count`` rows: W, cols, total, variance,
@@ -205,7 +216,7 @@ def portfolio_stats(w: Weights, m: Moments) -> FrontierSample:
 def frontier_samples(
     m: Moments,
     count: int = DEFAULT_SAMPLE_COUNT,
-    seed: int | np.random.Generator = 0,
+    seed: int | np.random.Generator | np.ndarray = 0,
     workspace: MonteCarloWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Vectorized stats for `count` random portfolios.
@@ -214,7 +225,8 @@ def frontier_samples(
     their volatilities are computed once, and ``rows`` yields (exp_return,
     sharpe) for each expected-return row of ``m``, scored when it is asked
     for.  A Generator as ``seed`` is drawn on from where it stands, so
-    consecutive calls continue one stream.
+    consecutive calls continue one stream; a (count, n) array as ``seed``
+    holds samples drawn before, which are copied in and scored as they are.
 
     The weights, volatilities and scores live in the first ``count`` rows
     of ``workspace`` (of ``count`` rows or more), or of a workspace of
@@ -227,7 +239,11 @@ def frontier_samples(
     if ws.W.shape[1] != n or ws.W.shape[0] < count:
         raise DimensionError(f"workspace shape {ws.W.shape} holds no ({count}, {n})")
     W, cols, total, variance, term, flat = ws._head(count)
-    _draw_simplex(W, cols, total, np.random.default_rng(seed))
+    if isinstance(seed, np.ndarray):
+        np.copyto(W, seed)
+        np.copyto(cols, W.T)
+    else:
+        _draw_simplex(W, cols, total, np.random.default_rng(seed))
     # einsum("ij,jk,ik->i", W, cov, W) term by term and in its order: the sum
     # over j, then k, of (w_j * cov_jk) * w_k.  Same bits, about 2.5x faster
     # at 50 000 x 5 than einsum itself.
@@ -268,16 +284,22 @@ def mean_variance_select(
     Every row is scored on the same samples, drawn in chunks of the rows of
     ``workspace``, or of its own of ``min(count, CHUNK_ROWS)`` rows.  With
     one of ``count`` rows there is one chunk, whose scores stay in it (see
-    ``frontier_samples``).  Raises DegenerateMarketError, for all rows at
-    once, when every sample has zero volatility; on a covariance of zeros
-    it raises before drawing, since every variance is then 0.
+    ``frontier_samples``).  A workspace's cloud of ``count`` rows keeps the
+    samples drawn; once it holds ``seed``'s, they are scored without a draw.
+    Raises DegenerateMarketError, for all rows at once, when every sample
+    has zero volatility; on a covariance of zeros it raises before drawing,
+    since every variance is then 0.
     """
     if not m.cov.any():
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
     n = m.mu.shape[-1]
     ws = MonteCarloWorkspace(min(count, CHUNK_ROWS), n) if workspace is None else workspace
     chunk = len(ws.W)
-    rng = np.random.default_rng(seed)
+    cloud = ws.cloud
+    if cloud is not None and cloud.shape != (count, n):
+        raise DimensionError(f"cloud shape {cloud.shape} is not ({count}, {n})")
+    drawn = cloud is not None and ws.cloud_seed == seed
+    rng = None if drawn else np.random.default_rng(seed)
     best = [None] * len(np.atleast_2d(m.mu))  # per row: (sharpe, exp_return, vol, weights)
     all_flat = True
     lo = 0
@@ -285,7 +307,9 @@ def mean_variance_select(
         rows = min(chunk, count - lo)
         if count - lo - rows == 1 and rows > 8:
             rows -= 8  # no lone last row: see the module docstring
-        W, vol, scored = frontier_samples(m, rows, rng, ws)
+        W, vol, scored = frontier_samples(m, rows, cloud[lo:lo + rows] if drawn else rng, ws)
+        if cloud is not None and not drawn:
+            cloud[lo:lo + rows] = W
         lo += rows
         all_flat = all_flat and bool(ws.flat[:rows].all())
         for v, (exp_ret, sharpe) in enumerate(scored):
@@ -295,6 +319,8 @@ def mean_variance_select(
             if kept is None or (not math.isnan(kept[0])
                                 and (sharpe[i] > kept[0] or math.isnan(sharpe[i]))):
                 best[v] = (float(sharpe[i]), float(exp_ret[i]), float(vol[i]), W[i].copy())
+    if cloud is not None:
+        ws.cloud_seed = seed
     if all_flat:
         raise DegenerateMarketError("all sampled portfolios have zero volatility")
     return [FrontierSample(Weights.from_array(w), exp_return, volatility, sharpe)
@@ -348,13 +374,12 @@ def predictive_weights(
     ``predicted_prices`` is (V, T, n): one forecast per variant.  mu for day
     t = predicted_price / last close - 1; cov from that day's trailing
     simple-return window, refused with a ValidationError when it is not
-    finite.  The Monte-Carlo seed advances by day index so runs are
-    deterministic.  By design all V variants are scored on day t's one
-    set of draws (common random numbers), so their weights differ only
-    through their forecasts.  Each variant's row gets its own GEMV, so its
-    pick is bit for bit the one it gets alone.  A degenerate day gives every
-    variant equal weights.  Returns V lists of T weights and the number of
-    degenerate days.
+    finite.  By design every day and all V variants are scored on one cloud
+    of ``count`` samples drawn from ``seed`` (common random numbers; see
+    the module docstring), so the weights differ only through the moments.
+    Each variant's row gets its own GEMV, so its pick is bit for bit the one
+    it gets alone.  A degenerate day gives every variant equal weights.
+    Returns V lists of T weights and the number of degenerate days.
     """
     if predicted_prices.ndim != 3:
         raise DimensionError("predicted prices must be (variants, days, assets)")
@@ -363,13 +388,14 @@ def predictive_weights(
         raise DimensionError("predictive inputs misaligned")
     out: list[list[Weights]] = [[] for _ in range(V)]
     workspace = MonteCarloWorkspace(min(count, CHUNK_ROWS), n)  # see the module docstring
+    workspace.cloud = np.empty((count, n))
     equal_days = 0
     for t in range(T):
         mu = predicted_prices[:, t] / last_closes[t] - 1.0
         m = Moments(mu=mu, cov=_sample_moments(trailing_returns[t])[1])
         try:
             picks = [s.weights for s in mean_variance_select(
-                m, count=count, seed=seed + t, workspace=workspace)]
+                m, count=count, seed=seed, workspace=workspace)]
         except DegenerateMarketError:
             picks = [Weights.equal(n)] * V
             equal_days += 1

@@ -258,14 +258,14 @@ def test_criterion_9_determinism(cli_workspace):
 # taken with conftest's GOLDEN_NUMPY and GOLDEN_BLAS.
 GOLDEN_ARTIFACTS = {
     "panel.csv": "0f478b085d67f8a97a1fd12de2c72231af86b957a8f5666bdb5cf9e95ec3e110",
-    "wealth_curves.csv": "6080ad97b8b5c61b4e17ec141ef544fa9e885ae08fc811bdabc163df3d8d45ea",
-    "report.csv": "dd6eca6aa29ce0d2fa1bab99aa074290966c5c044f968554348d122f03159c1c",
-    "report.json": "d6d0e07dfc79a13aef7066f39e8271b21fcf2a013ab51b63685f43146f90bcf0",
-    "wealth.svg": "0f15b3700dcd517bde63772b0be95c2b38d2d6b8f853f8eb991a95d7d6335131",
+    "wealth_curves.csv": "cc38d0388514d1cf5e0f7e90f8465ca5e7a144dceb2444f5a23825ac2fc97a74",
+    "report.csv": "5f0992812c6a6e948ad623fd6b6b147c2a66f1e205bcb94dbe82cdf3cca41360",
+    "report.json": "d15d5b56c9852b11b54a19abf0ab9d252108bf61dad36ae2b57d2dfc48b5f2a7",
+    "wealth.svg": "fcc57998174725a754c0de7b92a830f1ffcf95dd20f5a21d9d6e12501f94a142",
     "correlation.csv": "3ae17c2345b97d986bfe40e2032691edaa2c2d017c1a8466a287b9fe777efd95",
     "granger.csv": "e1bfabd6c2957e46cbd1f3839a2f5db67d5d6046b93d643402bae3efe7eaaa66",
 }
-GOLDEN_PIPELINE = "2befb20721b106efbaa57358bd4c9d08685ef4500469f38b554e8cbfe0afd1ec"
+GOLDEN_PIPELINE = "ad5b400f6ba209f7b00db64bfccd7c1fef56a87d13d8f53d24e9c85108dcd5a1"
 
 
 def _pipeline_digest(result) -> str:

@@ -459,6 +459,9 @@ BAD_INPUTS = {
         "initial_capital must be a number"),
     "max_lag not a number": (
         "ingest", _config_edit("max_lag: 2", "max_lag: two"), "max_lag must be an integer"),
+    "max_lag beyond the panel's returns": (
+        "analyze", lambda root: (_ingested(root), _config_edit("max_lag: 2", "max_lag: 40")(root)),
+        "panel.csv: 99 returns, too few for max_lag 40 (the Granger test needs more than 121)"),
     "replicate_seeds not a list": (
         "ingest", _config_edit("max_lag: 2", "max_lag: 2\nreplicate_seeds: 5"),
         "replicate_seeds must be a list"),

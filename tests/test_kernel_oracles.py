@@ -2,7 +2,7 @@
 forward/backward pass and its forward without history, the sliding
 windows and their scaling as views, the Monte-Carlo portfolio variance, the
 selection that scores several forecasts on one set of draws, the selection
-in chunks and the reuse of one Monte-Carlo workspace across days.
+in chunks and the reuse of one Monte-Carlo workspace and cloud across days.
 
 Each fast kernel keeps every GEMM, sum and product of its reference in the
 same order, so the comparisons here are bit for bit, not within a tolerance.
@@ -374,6 +374,22 @@ def test_reused_workspace_matches_fresh_selection(n_assets):
                 assert_bits(getattr(g, field), getattr(w, field))
 
 
+@pytest.mark.parametrize("n_assets", range(1, 13))
+def test_frontier_scores_samples_drawn_before_as_drawn(n_assets):
+    """Samples passed in place of a seed, as a backtest's later days pass
+    its cloud, are scored bit for bit as when they were drawn."""
+    rng = np.random.default_rng(300 + n_assets)
+    m = Moments(mu=rng.normal(0.001, 0.01, (2, n_assets)), cov=random_cov(rng, n_assets))
+    W, vol, rows = frontier_samples(m, 50_000, seed=n_assets)
+    drawn = (W.copy(), vol.copy(), [(r.copy(), s.copy()) for r, s in rows])
+    W, vol, rows = frontier_samples(m, 50_000, drawn[0], MonteCarloWorkspace(50_000, n_assets))
+    assert_bits(W, drawn[0])
+    assert_bits(vol, drawn[1])
+    for (exp_ret, sharpe), (exp_ref, sharpe_ref) in zip(rows, drawn[2], strict=True):
+        assert_bits(exp_ret, exp_ref)
+        assert_bits(sharpe, sharpe_ref)
+
+
 def test_frontier_without_workspace_returns_fresh_arrays():
     rng = np.random.default_rng(9)
     m = Moments(mu=rng.normal(0.001, 0.01, 5), cov=random_cov(rng, 5))
@@ -627,19 +643,27 @@ def test_zero_covariance_raises_before_drawing(monkeypatch, zero):
     assert draws == chunk_sizes(50_000)
 
 
-def test_a_backtest_selection_holds_one_small_workspace():
-    """One predictive_weights call of 50 000 samples on 5 assets: the
-    workspace of 8 192 rows takes 0.81 MiB, where one of 16 384 took
-    1.6 MiB."""
+def backtest_selection_peak(T, count=50_000, n=5):
+    """tracemalloc's peak of one predictive_weights call of T days, two
+    forecasts and ``count`` samples on ``n`` assets, above its start."""
     rng = np.random.default_rng(0)
-    last = np.full((3, 5), 100.0)
-    pred = last * (1.0 + rng.normal(0.0, 0.01, size=(2, 3, 5)))
-    trailing = [rng.normal(0.0, 0.02, size=(50, 5)) for _ in range(3)]
+    last = np.full((T, n), 100.0)
+    pred = last * (1.0 + rng.normal(0.0, 0.01, size=(2, T, n)))
+    trailing = [rng.normal(0.0, 0.02, size=(50, n)) for _ in range(T)]
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        predictive_weights(pred, last, trailing, count=50_000, seed=0)
-        peak = tracemalloc.get_traced_memory()[1] - start
+        predictive_weights(pred, last, trailing, count=count, seed=0)
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * 2**20
+
+
+def test_a_backtest_selection_holds_one_small_workspace():
+    """One predictive_weights call of 50 000 samples on 5 assets holds the
+    cloud every day scores (50 000 x 5 x 8 B = 1.9 MiB) and the workspace of
+    8 192 rows (0.81 MiB), and no more for a longer span: 60 days peak within
+    64 KiB of one day."""
+    one_day = backtest_selection_peak(1)
+    assert one_day < 50_000 * 5 * 8 + 1.2 * 2**20
+    assert backtest_selection_peak(60) - one_day < 64 * 2**10

@@ -144,7 +144,70 @@ class TestPortfolioStats:
         assert s.volatility**2 == pytest.approx(expected, rel=1e-12)
 
 
+def exact_max_sharpe(mu, cov):
+    """The largest Sharpe ratio over the long-only simplex, by enumerating
+    its faces (Cornuejols and Tutuncu, *Optimization Methods in Finance*,
+    ch. 8).  The ratio is scale-free, so inside face S it is stationary only
+    along cov_S^-1 mu_S; normalised to sum 1, that direction is a candidate
+    when every weight is positive.  A vertex is the face of one asset."""
+    n = len(mu)
+    best = -np.inf
+    for mask in range(1, 2**n):
+        face = [i for i in range(n) if mask >> i & 1]
+        sub = cov[np.ix_(face, face)]
+        x = np.linalg.solve(sub, mu[face]) if len(face) > 1 else np.ones(1)
+        w = x / x.sum() if x.sum() != 0.0 else np.zeros_like(x)
+        if (w > 0).all():
+            best = max(best, float(w @ mu[face]) / math.sqrt(w @ sub @ w))
+    return best
+
+
+class TestExactMaxSharpe:
+    def test_diagonal_tangency(self):
+        # independent assets: weights in proportion to mu_i / var_i, Sharpe
+        # the root of the sum of squared single-asset Sharpe ratios
+        mu, var = np.array([0.01, 0.02, 0.015]), np.array([0.04, 0.09, 0.01])
+        assert exact_max_sharpe(mu, np.diag(var)) == pytest.approx(
+            math.sqrt((mu**2 / var).sum()), rel=1e-12)
+
+    def test_negative_tangency_weight_moves_to_a_face(self):
+        # the unconstrained tangency shorts asset 1; long-only, asset 0 alone
+        mu, cov = np.array([0.02, 0.001]), np.array([[0.04, 0.03], [0.03, 0.04]])
+        assert np.linalg.solve(cov, mu)[1] < 0
+        assert exact_max_sharpe(mu, cov) == pytest.approx(0.02 / 0.2, rel=1e-12)
+
+    def test_all_negative_means_best_single_asset_or_mix(self):
+        mu, cov = np.array([-0.01, -0.02]), np.diag([0.04, 0.01])
+        grid = np.linspace(0.0, 1.0, 100_001)
+        W = np.stack([grid, 1.0 - grid], axis=1)
+        sharpe = (W @ mu) / np.sqrt(np.einsum("ij,jk,ik->i", W, cov, W))
+        assert exact_max_sharpe(mu, cov) == pytest.approx(sharpe.max(), rel=1e-9)
+
+
+@st.composite
+def positive_definite_markets(draw):
+    """(mu, cov) on n <= 6 assets, cov = A A^T + floor * I."""
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    A = 0.02 * np.array(draw(st.lists(st.lists(entries, min_size=n + 2, max_size=n + 2),
+                                      min_size=n, max_size=n)))
+    floor = draw(st.floats(1e-6, 1e-3))
+    mu = 0.01 * np.array(draw(st.lists(entries, min_size=n, max_size=n)))
+    return mu, A @ A.T + floor * np.eye(n)
+
+
 class TestMeanVarianceSelect:
+    @given(positive_definite_markets(), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_never_beats_the_exact_optimum(self, market, seed):
+        """No sampled portfolio has a larger Sharpe ratio than the exact
+        long-only optimum, up to a 1e-12 relative rounding margin on the
+        scale of the ratio, max|mu| / sqrt(min eigenvalue of cov)."""
+        mu, cov = market
+        (pick,) = mean_variance_select(Moments(mu=mu, cov=cov), count=2000, seed=seed)
+        scale = max(np.abs(mu).max() / math.sqrt(np.linalg.eigvalsh(cov).min()), 1e-300)
+        assert pick.sharpe <= exact_max_sharpe(mu, cov) + 1e-12 * scale
+
     def dominant_market(self):
         # asset 0 has much higher mean at equal risk and no coupling
         mu = np.array([0.05, 0.001, 0.001])
@@ -304,22 +367,64 @@ class TestPredictiveWeights:
         predictive_weights(pred, last, trailing, count=100, seed=0)
         assert [c.tobytes() for c in checked] == [c.tobytes() for c in expected]
 
-    @pytest.mark.parametrize("T", [1, 6])
+    @pytest.mark.parametrize("T", [1, 6, 60])
     def test_one_workspace_per_call(self, monkeypatch, T):
-        """Every day draws in the call's one workspace; a degenerate one,
-        whose covariance is all zeros, draws nothing."""
+        """One workspace and one draw of ``count`` rows serve every day,
+        whatever T: day 0 draws the cloud and every later day scores it.  A
+        day whose covariance is all zeros (day 1) draws nothing."""
         pred, last, trailing = self.make_inputs(V=2, T=T)
-        trailing[0] = np.zeros_like(trailing[0])
-        built = []
+        if T > 1:
+            trailing[1] = np.zeros_like(trailing[1])
+        built, draws = [], []
 
         class Counted(portfolio_opt.MonteCarloWorkspace):
             def __init__(self, count, n_assets):
                 built.append((count, n_assets))
                 super().__init__(count, n_assets)
 
+        draw = portfolio_opt._draw_simplex
         monkeypatch.setattr(portfolio_opt, "MonteCarloWorkspace", Counted)
-        predictive_weights(pred, last, trailing, count=500, seed=0)
-        assert built == [(500, 3)]
+        monkeypatch.setattr(portfolio_opt, "_draw_simplex",
+                            lambda W, *rest: draws.append(len(W)) or draw(W, *rest))
+        _, equal_days = predictive_weights(pred, last, trailing, count=20_000, seed=0)
+        assert built == [(8192, 3)]
+        assert draws == [8192, 8192, 3616] and equal_days == (T > 1)
+
+    def test_a_degenerate_day_that_draws_keeps_its_cloud(self, monkeypatch):
+        """A covariance too small for any sample to reach VOL_FLOOR draws the
+        cloud, falls back to equal weights, and leaves the cloud to the next
+        day; a market with every day flat draws nothing."""
+        pred, last, trailing = self.make_inputs(V=2, T=3)
+        trailing[0] = np.zeros_like(trailing[0])
+        trailing[1] = trailing[1] * 1e-150
+        draws = []
+        draw = portfolio_opt._draw_simplex
+        monkeypatch.setattr(portfolio_opt, "_draw_simplex",
+                            lambda W, *rest: draws.append(len(W)) or draw(W, *rest))
+        weights, equal_days = predictive_weights(pred, last, trailing, count=500, seed=0)
+        assert draws == [500] and equal_days == 2
+        picks = mean_variance_select(Moments(
+            mu=pred[:, 2] / last[2] - 1.0, cov=estimate_moments(trailing[2]).cov), 500, seed=0)
+        assert [w[2] for w in weights] == [p.weights for p in picks]
+        draws.clear()
+        flat = [np.zeros_like(w) for w in trailing]
+        _, equal_days = predictive_weights(pred, last, flat, count=500, seed=0)
+        assert draws == [] and equal_days == 3
+
+    def test_every_day_scores_one_cloud(self):
+        """Each day's picks, day 0's too, are bit for bit a single selection
+        on that day's moments over the cloud of the call's seed; from day 1
+        on they are not those of seed + t, which each day used to draw."""
+        pred, last, trailing = self.make_inputs(V=2, T=5, n=5)
+        weights, _ = predictive_weights(pred, last, trailing, count=20_000, seed=7)
+        for t in range(5):
+            m = Moments(mu=pred[:, t] / last[t] - 1.0, cov=estimate_moments(trailing[t]).cov)
+            picks = mean_variance_select(m, 20_000, seed=7)
+            assert [w[t].as_array().tobytes() for w in weights] == [
+                p.weights.as_array().tobytes() for p in picks]
+            if t:
+                old = mean_variance_select(m, 20_000, seed=7 + t)
+                assert [w[t] for w in weights] != [p.weights for p in old]
 
     def test_strong_signal_tilts_weights(self):
         # asset 0 predicted +5%, others flat; independent equal risk
